@@ -39,7 +39,7 @@ from .graphs import (
     parse_upper_text,
     random_instance,
 )
-from .hamilton import ConstructionState, build_hamiltonian, is_touching
+from .hamilton import build_hamiltonian, is_touching
 from .heuristic import (
     Frontier,
     FrontierCandidate,
@@ -80,7 +80,6 @@ __all__ = [
     "BadOrderError",
     "Classification",
     "CompleteInstance",
-    "ConstructionState",
     "Cycle",
     "CycleKind",
     "DomainError",

@@ -470,6 +470,10 @@ def cmd_bench(parser, args) -> RunReport:
         parser.error(f"--sizes expects comma-separated integers, got {args.sizes!r}")
     if not sizes:
         parser.error("--sizes needs at least one size")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     tasks = [
         (n, seed, args.lo, args.hi, args.beam)
         for n in sizes
@@ -489,7 +493,10 @@ def cmd_bench(parser, args) -> RunReport:
         if len(medians) >= 2
         else None
     )
-    predicted = {n: float(op_count_estimate(n).f_n) for n in sorted(set(sizes))}
+    # The closed-form op count is defined from n = 4, where seeding starts.
+    predicted = {
+        n: float(op_count_estimate(n).f_n) for n in sorted(set(sizes)) if n >= 4
+    }
     return RunReport(
         command="bench",
         instance={"sizes": sizes, "seeds": args.seeds, "lo": args.lo, "hi": args.hi},
@@ -608,16 +615,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report = args.handler(parser, args)
+        text = _render(report, args.format)
+        if args.out and report.command != "gen":
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (RingtourError, OSError) as exc:
         print(f"ringtour: error: {exc}", file=sys.stderr)
         return 2
-    text = _render(report, args.format)
-    if args.out and report.command != "gen":
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
     return 0
 
 

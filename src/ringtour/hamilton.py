@@ -3,20 +3,20 @@
 Starting from one triangle, each round ring-sums in a triangle that shares
 exactly one edge with the current simple cycle and contributes exactly one
 new vertex.  After n-2 triangles the cycle covers all of K_n.  The
-"first found" choice is made deterministic by scanning triangles in
-lexicographic vertex-triple order.
+"first found" choice is the touching triangle first in lexicographic
+vertex-triple order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .edgesets import Cycle, EdgeSet
 from .errors import DomainError
 from .graphs import CompleteInstance
+from .heuristic import FrontierCandidate, grow, tour_result
 from .isocycles import triangle_count, triangle_index
-from .tours import TourResult, TourTrace, TraceStep, cycle_vertex_sequence
+from .tours import TourResult, TraceStep
 
 
 def is_touching(z: Cycle, c: Cycle) -> bool:
@@ -28,16 +28,6 @@ def is_touching(z: Cycle, c: Cycle) -> bool:
     if len(inter) != 1:
         return False
     return len(c.vertices - z.vertices) == 1
-
-
-@dataclass
-class ConstructionState:
-    """Mutable state while growing the cycle; `current` stays simple."""
-
-    current: EdgeSet
-    covered: set[int]
-    trace: list[TraceStep]
-    weight: float
 
 
 def _triangle_by_index(inst: CompleteInstance, k: int) -> tuple[int, int, int]:
@@ -56,86 +46,41 @@ def build_hamiltonian(
 ) -> TourResult:
     """Grow a Hamiltonian cycle of K_n from ``start_triangle``.
 
-    The scan takes, each round, the first triangle in canonical order that
-    touches the current cycle; a touching triangle always exists in K_n
-    while vertices remain uncovered.  Exactly n-2 triangles are summed
-    (the seed included) and the trace records each one.
+    Each round sums in the touching triangle first in canonical order.
+    Any uncovered vertex can be its apex, and a smaller apex always gives
+    a smaller sorted triple, so the apex is the smallest uncovered vertex
+    and the cycle edge is the one whose triple with it sorts first.
+    Exactly n-2 triangles are summed (the seed included) and the trace
+    records each one.
     """
     n = inst.n
     a, b, c = _triangle_by_index(inst, 1 if start_triangle is None else start_triangle)
-    seed_edges = EdgeSet.of(
-        (inst.edge_id(a, b), inst.edge_id(a, c), inst.edge_id(b, c)), inst.m
-    )
     w = inst.weight(a, b) + inst.weight(a, c) + inst.weight(b, c)
-    state = ConstructionState(
-        current=seed_edges,
-        covered={a, b, c},
-        trace=[
-            TraceStep(
-                triangle=(a, b, c),
-                triangle_id=triangle_index(n, a, b, c),
-                shared_edge=0,
-                weight=w,
-            )
-        ],
+    cand = FrontierCandidate(
+        order=(a, b, c),
+        edges=EdgeSet.of(
+            (inst.edge_id(a, b), inst.edge_id(a, c), inst.edge_id(b, c)), inst.m
+        ),
         weight=w,
+        step=TraceStep(
+            triangle=(a, b, c),
+            triangle_id=triangle_index(n, a, b, c),
+            shared_edge=0,
+            weight=w,
+        ),
     )
-
-    while len(state.covered) < n:
-        step = _first_touching(inst, state)
-        if step is None:  # pragma: no cover - impossible on K_n
-            raise AssertionError("no touching triangle found on a complete graph")
-        tri, shared = step
-        x, y, z = tri
-        t_edges = EdgeSet.of(
-            (inst.edge_id(x, y), inst.edge_id(x, z), inst.edge_id(y, z)), inst.m
-        )
-        state.current = state.current ^ t_edges
-        new_vertex = next(v for v in tri if v not in state.covered)
-        state.covered.add(new_vertex)
-        u, v = inst.endpoints(shared)
-        state.weight += (
-            inst.weight(u, new_vertex) + inst.weight(v, new_vertex) - inst.weight(u, v)
-        )
-        state.trace.append(
-            TraceStep(
-                triangle=tri,
-                triangle_id=triangle_index(n, x, y, z),
-                shared_edge=shared,
-                weight=state.weight,
-            )
-        )
-
-    seq = cycle_vertex_sequence(state.current, inst.endpoints)
-    trace = TourTrace(
-        seed=seed_edges,
-        seed_vertices=(a, b, c),
-        seed_weight=w,
-        steps=tuple(state.trace),
-    )
-    return TourResult(
-        sequence=seq, edges=state.current, weight=state.weight, trace=trace, n=n
-    )
-
-
-def _first_touching(
-    inst: CompleteInstance, state: ConstructionState
-) -> tuple[tuple[int, int, int], int] | None:
-    """First triangle, in canonical order, touching the current cycle.
-
-    Touching means: exactly one shared edge and exactly one vertex outside
-    the covered set.  Returns the triangle and the shared edge id.
-    """
-    cur = state.current
-    covered = state.covered
-    for tri in combinations(range(1, inst.n + 1), 3):
-        new = [v for v in tri if v not in covered]
-        if len(new) != 1:
+    for apex in range(1, n + 1):
+        if apex in (a, b, c):
             continue
-        p, q = (v for v in tri if v != new[0])
-        shared = inst.edge_id(p, q)
-        if shared not in cur:
-            continue
-        # The two apex edges cannot lie on the cycle: their endpoint is new.
-        return tri, shared
-    return None
+        order = cand.order
+        size = len(order)
+        i = min(
+            range(size),
+            key=lambda k: sorted((order[k], order[(k + 1) % size], apex)),
+        )
+        u, v = order[i], order[(i + 1) % size]
+        weight = cand.weight + (
+            inst.weight(u, apex) + inst.weight(v, apex) - inst.weight(u, v)
+        )
+        cand = grow(inst, cand, i, apex, weight)
+    return tour_result(inst, cand)

@@ -5,7 +5,10 @@ length.  Seeding picks, over every 4-vertex subset, the cheapest of its
 three 4-cycles; each extension round ring-sums every touching triangle
 into every candidate (one shared cycle edge plus one uncovered apex) and
 keeps the cheapest results.  After n-4 rounds the frontier holds
-Hamiltonian cycles.
+Hamiltonian cycles.  A candidate is a closed vertex walk, and summing in a
+touching triangle is :func:`grow`: insert the apex between the two ends
+of one walk edge.  :func:`~ringtour.hamilton.build_hamiltonian` grows its
+cycle with the same step.
 
 Beam policy: the default "all-ties" keeps every candidate tied at the
 round minimum, which is what reproduces the worked desk examples.  An
@@ -21,9 +24,8 @@ that the O(n^4) seeding stays practical into the hundreds of vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -31,8 +33,7 @@ import numpy as np
 from .edgesets import Cycle, EdgeSet
 from .errors import DomainError
 from .graphs import CompleteInstance
-from .hamilton import is_touching
-from .isocycles import IsometricCycleSet, triangle_count, triangle_index
+from .isocycles import triangle_count, triangle_index
 from .tours import (
     FrontierSnapshot,
     TourResult,
@@ -127,15 +128,23 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
 
 @dataclass(frozen=True)
 class FrontierCandidate:
-    """A simple cycle plus the lineage that produced it."""
+    """A simple cycle as a closed vertex walk, linked to the cycle it grew from.
 
+    ``edges`` is the walk's edge set and the key that merges duplicates.
+    ``step`` is the triangle summed into ``parent`` to make this cycle; a
+    root has no parent, and its step, if any, is the triangle it starts as.
+    """
+
+    order: tuple[int, ...]
     edges: EdgeSet
     weight: float
-    vertices: frozenset[int]
-    seed: EdgeSet
-    seed_walk: tuple[int, ...]
-    seed_weight: float
-    steps: tuple[TraceStep, ...]
+    # Left out of == and repr, which would otherwise recurse down the chain.
+    parent: FrontierCandidate | None = field(default=None, compare=False, repr=False)
+    step: TraceStep | None = None
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.order)
 
     def sort_key(self) -> tuple:
         return (self.weight, self.edges.ids())
@@ -144,9 +153,69 @@ class FrontierCandidate:
         return Cycle(
             edges=self.edges,
             vertices=self.vertices,
-            degree_profile=tuple((v, 2) for v in sorted(self.vertices)),
+            degree_profile=tuple((v, 2) for v in sorted(self.order)),
             simple=True,
         )
+
+
+def grow(
+    inst: CompleteInstance,
+    cand: FrontierCandidate,
+    i: int,
+    apex: int,
+    weight: float,
+) -> FrontierCandidate:
+    """Ring-sum the triangle on walk edge (order[i], order[i+1]) and ``apex``.
+
+    ``apex`` must lie off the cycle, so the triangle touches it and the sum
+    is the simple cycle with ``apex`` inserted between the edge's two ends.
+    ``weight`` is the new cycle's weight, as the caller computed it.
+    """
+    order = cand.order
+    u, v = order[i], order[(i + 1) % len(order)]
+    shared = inst.edge_id(u, v)
+    mask = (
+        cand.edges.mask
+        ^ (1 << shared)
+        ^ (1 << inst.edge_id(u, apex))
+        ^ (1 << inst.edge_id(v, apex))
+    )
+    tri = tuple(sorted((u, v, apex)))
+    return FrontierCandidate(
+        order=order[: i + 1] + (apex,) + order[i + 1 :],
+        edges=EdgeSet(inst.m, mask),
+        weight=weight,
+        parent=cand,
+        step=TraceStep(
+            triangle=tri,
+            triangle_id=triangle_index(inst.n, *tri),
+            shared_edge=shared,
+            weight=weight,
+        ),
+    )
+
+
+def tour_result(
+    inst: CompleteInstance,
+    cand: FrontierCandidate,
+    history: list[FrontierSnapshot] | None = None,
+) -> TourResult:
+    """The tour ``cand`` spans, with its trace rebuilt from the parent chain."""
+    chain = [cand]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    root = chain[-1]
+    trace = TourTrace(
+        seed=root.edges,
+        seed_vertices=root.order,
+        seed_weight=root.weight,
+        steps=tuple(c.step for c in reversed(chain) if c.step is not None),
+        frontier_history=tuple(history) if history is not None else None,
+    )
+    seq = cycle_vertex_sequence(cand.edges, inst.endpoints)
+    return TourResult(
+        sequence=seq, edges=cand.edges, weight=cand.weight, trace=trace, n=inst.n
+    )
 
 
 @dataclass(frozen=True)
@@ -176,16 +245,10 @@ def _seed_candidate(
     vs = tuple(v + 1 for v in quad0)
     order = tuple(vs[i] for i in _QUAD_WALKS[shape])
     ids = [inst.edge_id(order[i], order[(i + 1) % 4]) for i in range(4)]
-    weight = _shape_weight(inst.weights, vs, shape)
-    edges = EdgeSet.of(ids, inst.m)
     return FrontierCandidate(
-        edges=edges,
-        weight=weight,
-        vertices=frozenset(vs),
-        seed=edges,
-        seed_walk=order,
-        seed_weight=weight,
-        steps=(),
+        order=order,
+        edges=EdgeSet.of(ids, inst.m),
+        weight=_shape_weight(inst.weights, vs, shape),
     )
 
 
@@ -322,113 +385,46 @@ def _apply_beam(
     return tuple(c for c in cands if c.weight <= cut)
 
 
-def _extend_scan(
-    inst: CompleteInstance, frontier: Frontier
-) -> list[tuple[int, int, int, int, float]]:
-    """(candidate index, u, v, apex, weight) entries kept by the beam rule.
-
-    For each candidate, every touching triangle is one cycle edge (u, v)
-    paired with one uncovered apex; the new weight is
-    candidate + (w(u,apex) + w(v,apex)) - w(u,v).
-    """
-    n = inst.n
-    w = inst.weights
-    per_cand = []
-    best = np.inf
-    for ci, cand in enumerate(frontier.candidates):
-        pairs = [inst.endpoints(e) for e in cand.edges]
-        u0 = np.array([p[0] - 1 for p in pairs])
-        v0 = np.array([p[1] - 1 for p in pairs])
-        outs = np.array([x - 1 for x in range(1, n + 1) if x not in cand.vertices])
-        vals = cand.weight + (
-            (w[u0][:, outs] + w[v0][:, outs]) - w[u0, v0][:, None]
-        )
-        per_cand.append((ci, u0, v0, outs, vals))
-        m = vals.min()
-        if m < best:
-            best = m
-
-    hits: list[tuple[int, int, int, int, float]] = []
-    if frontier.beam is None:
-        for ci, u0, v0, outs, vals in per_cand:
-            for ei, oi in np.argwhere(vals == best):
-                hits.append(
-                    (ci, int(u0[ei]) + 1, int(v0[ei]) + 1, int(outs[oi]) + 1, best)
-                )
-        return hits
-
-    # Integer beam: walk weight classes upward until enough distinct sets.
-    all_vals = np.concatenate([vals.ravel() for _, _, _, _, vals in per_cand])
-    classes = np.unique(all_vals)
-    needed = frontier.beam
-    distinct: set[int] = set()
-    for cls in classes:
-        for ci, u0, v0, outs, vals in per_cand:
-            cand = frontier.candidates[ci]
-            for ei, oi in np.argwhere(vals == cls):
-                u, v, o = int(u0[ei]) + 1, int(v0[ei]) + 1, int(outs[oi]) + 1
-                mask = (
-                    cand.edges.mask
-                    ^ (1 << inst.edge_id(u, v))
-                    ^ (1 << inst.edge_id(u, o))
-                    ^ (1 << inst.edge_id(v, o))
-                )
-                distinct.add(mask)
-                hits.append((ci, u, v, o, float(cls)))
-        if len(distinct) >= needed:
-            break
-    return hits
-
-
-def extend_frontier(
-    inst: CompleteInstance,
-    frontier: Frontier,
-    triangle_set: IsometricCycleSet | None = None,
-) -> Frontier:
+def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     """Grow every candidate by one vertex and keep the cheapest results.
 
-    New cycles arising from several decompositions (dubl-cycles) collapse
-    to a single candidate; the surviving lineage is the first in
-    deterministic scan order.  When ``triangle_set`` is given the touching
-    test runs against it cycle by cycle (the reference route); otherwise
-    an equivalent vectorised scan over (cycle edge, apex) pairs is used.
+    Each touching triangle is one walk edge (u, v) of a candidate paired
+    with one uncovered apex; the new weight is
+    candidate + (w(u,apex) + w(v,apex)) - w(u,v).  Weight classes are taken
+    cheapest first: "all-ties" stops after the first, an integer beam B
+    once at least B distinct cycles are in hand.  New cycles arising from
+    several decompositions (dubl-cycles) collapse to a single candidate;
+    the surviving lineage is the first in scan order (class, then
+    candidate).
     """
-    if frontier.length >= inst.n:
+    n = inst.n
+    if frontier.length >= n:
         raise DomainError("frontier already spans all vertices")
 
-    if triangle_set is None:
-        raw = _extend_scan(inst, frontier)
+    w = inst.weights
+    blocks = []
+    for cand in frontier.candidates:
+        walk = np.array(cand.order + cand.order[:1]) - 1
+        u0, v0 = walk[:-1], walk[1:]
+        free = np.ones(n, dtype=bool)
+        free[u0] = False
+        outs = np.flatnonzero(free)
+        vals = cand.weight + ((w[u0][:, outs] + w[v0][:, outs]) - w[u0, v0][:, None])
+        blocks.append((cand, outs, vals))
+    if frontier.beam is None:
+        classes = [min(vals.min() for _, _, vals in blocks)]
     else:
-        raw = _extend_reference(inst, frontier, triangle_set)
-    if not raw:
-        raise AssertionError("no touching triangle exists; instance not complete?")
+        classes = np.unique(np.concatenate([vals.ravel() for _, _, vals in blocks]))
 
     merged: dict[EdgeSet, FrontierCandidate] = {}
-    for ci, u, v, o, weight in raw:
-        cand = frontier.candidates[ci]
-        shared = inst.edge_id(u, v)
-        tri_edges = EdgeSet.of(
-            (shared, inst.edge_id(u, o), inst.edge_id(v, o)), inst.m
-        )
-        edges = cand.edges ^ tri_edges
-        if edges in merged:
-            continue
-        tri = tuple(sorted((u, v, o)))
-        step = TraceStep(
-            triangle=tri,
-            triangle_id=triangle_index(inst.n, *tri),
-            shared_edge=shared,
-            weight=weight,
-        )
-        merged[edges] = FrontierCandidate(
-            edges=edges,
-            weight=weight,
-            vertices=cand.vertices | {o},
-            seed=cand.seed,
-            seed_walk=cand.seed_walk,
-            seed_weight=cand.seed_weight,
-            steps=cand.steps + (step,),
-        )
+    for cls in classes:
+        weight = float(cls)
+        for cand, outs, vals in blocks:
+            for i, oi in np.argwhere(vals == cls):
+                child = grow(inst, cand, int(i), int(outs[oi]) + 1, weight)
+                merged.setdefault(child.edges, child)
+        if frontier.beam is None or len(merged) >= frontier.beam:
+            break
 
     cands = sorted(merged.values(), key=FrontierCandidate.sort_key)
     return Frontier(
@@ -436,32 +432,6 @@ def extend_frontier(
         length=frontier.length + 1,
         beam=frontier.beam,
     )
-
-
-def _extend_reference(
-    inst: CompleteInstance,
-    frontier: Frontier,
-    triangle_set: IsometricCycleSet,
-) -> list[tuple[int, int, int, int, float]]:
-    """Touching-triangle scan straight from the definitions."""
-    entries = []
-    for ci, cand in enumerate(frontier.candidates):
-        zc = cand.as_cycle()
-        for tri in triangle_set:
-            if not is_touching(zc, tri):
-                continue
-            (apex,) = tri.vertices - cand.vertices
-            u, v = sorted(tri.vertices - {apex})
-            weight = cand.weight + (
-                (inst.weight(u, apex) + inst.weight(v, apex)) - inst.weight(u, v)
-            )
-            entries.append((ci, u, v, apex, weight))
-    if not entries:
-        return entries
-    if frontier.beam is None:
-        best = min(e[4] for e in entries)
-        return [e for e in entries if e[4] == best]
-    return sorted(entries, key=lambda e: e[4])
 
 
 def solve(
@@ -476,40 +446,17 @@ def solve(
     """
     n = inst.n
     if n == 3:
-        edges = EdgeSet.of((1, 2, 3), inst.m)
         weight = inst.weight(1, 2) + inst.weight(1, 3) + inst.weight(2, 3)
-        t = TourTrace(
-            seed=edges,
-            seed_vertices=(1, 2, 3),
-            seed_weight=weight,
-            steps=(),
-            frontier_history=(
-                (FrontierSnapshot(length=3, weight=weight, edge_sets=(edges,)),)
-                if trace
-                else None
-            ),
-        )
-        return TourResult(
-            sequence=(1, 2, 3), edges=edges, weight=weight, trace=t, n=n
-        )
-
-    frontier = seed_frontier(inst, beam)
+        root = FrontierCandidate((1, 2, 3), EdgeSet.of((1, 2, 3), inst.m), weight)
+        frontier = Frontier(candidates=(root,), length=3, beam=None)
+    else:
+        frontier = seed_frontier(inst, beam)
     history = [frontier.snapshot()] if trace else None
     while frontier.length < n:
         frontier = extend_frontier(inst, frontier)
         if history is not None:
             history.append(frontier.snapshot())
-
-    best = frontier.candidates[0]
-    seq = cycle_vertex_sequence(best.edges, inst.endpoints)
-    t = TourTrace(
-        seed=best.seed,
-        seed_vertices=best.seed_walk,
-        seed_weight=best.seed_weight,
-        steps=best.steps,
-        frontier_history=tuple(history) if history is not None else None,
-    )
-    return TourResult(sequence=seq, edges=best.edges, weight=best.weight, trace=t, n=n)
+    return tour_result(inst, frontier.candidates[0], history)
 
 
 class OpCounts(NamedTuple):

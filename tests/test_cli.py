@@ -299,6 +299,23 @@ class TestUsageAndErrors:
         code, _, _ = run_cli(capsys, "bench", "--sizes", "8,big")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bench_counts_must_be_positive(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "bench", "--sizes", "5", flag, value)
+        assert code == 1
+        assert f"{flag} must be at least 1" in err
+        assert "Traceback" not in err
+
+    def test_out_is_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "solve", "--random", "n=6", "seed=1", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ringtour: error:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestBenchCommand:
     def test_small_bench_json(self, capsys):
@@ -312,6 +329,17 @@ class TestBenchCommand:
         assert set(r["median_ms"]) == {"8", "12"}
         assert r["slope"] is not None
         assert r["predicted_ops"]["12"] == (7 * 12**4 - 16 * 12**3) / 24
+
+    def test_bench_includes_n3(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--sizes", "3,4", "--seeds", "1", "--format", "json"
+        )
+        assert code == 0
+        r = json.loads(out)["results"]
+        assert [row["n"] for row in r["rows"]] == [3, 4]
+        assert set(r["median_ms"]) == {"3", "4"}
+        # op counts start at n = 4
+        assert r["predicted_ops"] == {"4": (7 * 4**4 - 16 * 4**3) / 24}
 
     def test_bench_text_table(self, capsys):
         code, out, _ = run_cli(

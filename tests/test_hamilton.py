@@ -13,6 +13,7 @@ from ringtour import (
     build_hamiltonian,
     classify,
     cycle_vertex_sequence,
+    cycle_weight,
     is_touching,
     obod,
     random_instance,
@@ -24,6 +25,25 @@ from ringtour import (
 def tri_on(tri_set, verts):
     (cyc,) = [c for c in tri_set if c.vertices == frozenset(verts)]
     return cyc
+
+
+def reference_build(inst, start_triangle):
+    """(triangle, shared edge, weight) per step, straight from the definitions.
+
+    Each round sums in the first triangle of ``triangles(inst)``, in order,
+    that touches the current cycle.
+    """
+    tri_set = triangles(inst)
+    first = tri_set.cycle(start_triangle)
+    current = first.edges
+    steps = [(tuple(sorted(first.vertices)), 0, cycle_weight(current, inst))]
+    while len(current) < inst.n:
+        z = classify(current, inst).cycle
+        tri = next(t for t in tri_set if is_touching(z, t))
+        (shared,) = current & tri.edges
+        current = current ^ tri.edges
+        steps.append((tuple(sorted(tri.vertices)), shared, cycle_weight(current, inst)))
+    return steps
 
 
 class TestIsTouching:
@@ -146,6 +166,25 @@ class TestBuildHamiltonian:
             assert folded == res.edges
             recomputed = sum(inst.edge_weight(e) for e in res.edges)
             assert recomputed == res.weight
+
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matches_reference_every_start(self, n):
+        inst = random_instance(n, n, (1, 30))
+        for start in range(1, n * (n - 1) * (n - 2) // 6 + 1):
+            res = build_hamiltonian(inst, start_triangle=start)
+            got = [(s.triangle, s.shared_edge, s.weight) for s in res.trace.steps]
+            assert got == reference_build(inst, start)
+
+    def test_matches_reference_seeded_starts(self):
+        rng = random.Random(4)
+        for n in range(9, 13):
+            inst = random_instance(n, rng.randint(0, 10**6), (1, 50))
+            for _ in range(5):
+                start = rng.randint(1, n * (n - 1) * (n - 2) // 6)
+                res = build_hamiltonian(inst, start_triangle=start)
+                got = [(s.triangle, s.shared_edge, s.weight) for s in res.trace.steps]
+                assert got == reference_build(inst, start)
 
 
 class TestVertexSequence:
