@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -479,8 +480,10 @@ def cmd_bench(parser, args) -> RunReport:
         for n in sizes
         for seed in range(1, args.seeds + 1)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # The fork start method starts every worker up front, used or not.
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]

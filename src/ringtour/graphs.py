@@ -83,6 +83,9 @@ class CompleteInstance:
             raise BadOrderError(f"instance needs at least 3 vertices, got {n}")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise NegativeWeightError("weights must be finite and non-negative")
+        # Cycle weights and the extension's intermediate sums stay below (n+2)*max.
+        if not math.isfinite(float(w.max()) * (n + 2)):
+            raise InvalidInstanceError("weights too large: cycle sums would overflow")
         if np.any(np.diagonal(w) != 0):
             bad = [i + 1 for i in range(n) if w[i, i] != 0]
             raise NegativeWeightError(f"non-zero diagonal at vertices {bad}")
@@ -297,11 +300,17 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
         row = _parse_numbers(line, path, k)
         if len(row) != 2:
             raise ParseError(f"{path}:{k}: expected `x y`, found {len(row)} values")
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{k}: coordinates must be finite")
         pts.append((row[0], row[1]))
     w = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
             d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            if not math.isfinite(d):
+                raise ParseError(
+                    f"{path}:{j + 2}: distance to the point on line {i + 2} overflows"
+                )
             w[i, j] = w[j, i] = math.floor(d + 0.5)
     return CompleteInstance(w)
 

@@ -9,7 +9,7 @@ vertex-triple order.
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
 
 from .edgesets import Cycle, EdgeSet
 from .errors import DomainError
@@ -30,15 +30,25 @@ def is_touching(z: Cycle, c: Cycle) -> bool:
     return len(c.vertices - z.vertices) == 1
 
 
-def _triangle_by_index(inst: CompleteInstance, k: int) -> tuple[int, int, int]:
-    kc = triangle_count(inst.n)
+def _triangle_by_index(n: int, k: int) -> tuple[int, int, int]:
+    """Invert :func:`~ringtour.isocycles.triangle_index` in O(n).
+
+    Each leading vertex a heads C(n-a, 2) triangles and, given a, each
+    second vertex b heads n-b of them.
+    """
+    kc = triangle_count(n)
     if not (1 <= k <= kc):
         raise DomainError(f"triangle id {k} out of range 1..{kc}")
-    for a, b, c in combinations(range(1, inst.n + 1), 3):
-        k -= 1
-        if k == 0:
-            return a, b, c
-    raise AssertionError("unreachable")
+    k -= 1
+    a = 1
+    while k >= math.comb(n - a, 2):
+        k -= math.comb(n - a, 2)
+        a += 1
+    b = a + 1
+    while k >= n - b:
+        k -= n - b
+        b += 1
+    return a, b, b + 1 + k
 
 
 def build_hamiltonian(
@@ -54,7 +64,7 @@ def build_hamiltonian(
     records each one.
     """
     n = inst.n
-    a, b, c = _triangle_by_index(inst, 1 if start_triangle is None else start_triangle)
+    a, b, c = _triangle_by_index(n, 1 if start_triangle is None else start_triangle)
     w = inst.weight(a, b) + inst.weight(a, c) + inst.weight(b, c)
     cand = FrontierCandidate(
         order=(a, b, c),

@@ -17,8 +17,10 @@ all kept.  Weight comparisons are exact; instances with integral weights
 (all file formats round or carry integers) make every sum exactly
 representable.
 
-The quad scan and the extension scans are vectorised over numpy blocks so
-that the O(n^4) seeding stays practical into the hundreds of vertices.
+Seeding is an O(n^3) wedge scan: a 4-cycle a-x-c-y is the two 2-paths
+a-x-c and a-y-c across its diagonal (a, c), so the cheapest cycle on each
+diagonal is the sum of its two cheapest wedges.  The extension scan is
+vectorised over numpy blocks.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ from .tours import (
 
 BeamSpec = int | str | None
 
-# Vertex chunk for the blocked quad scan; caps block memory at a few MB.
-_CHUNK_CELLS = 2_000_000
-
 
 def parse_beam(beam: BeamSpec) -> int | None:
     """Normalise a beam spec: None means keep all minimum-weight ties."""
@@ -61,28 +60,14 @@ def parse_beam(beam: BeamSpec) -> int | None:
     raise DomainError(f"beam must be a positive integer or 'all-ties', got {beam!r}")
 
 
-# The three 4-cycles on a sorted quad (a, b, c, d), as vertex walks.
-_QUAD_WALKS = (
-    (0, 1, 2, 3),  # a-b-c-d
-    (0, 1, 3, 2),  # a-b-d-c
-    (0, 2, 1, 3),  # a-c-b-d
-)
+def _wedge_weight(w: np.ndarray, walk: tuple[int, int, int, int]) -> float:
+    """Weight of the 4-cycle a-x-c-y (1-based walk) as wedge a-x-c plus a-y-c.
 
-
-def _shape_weight(w: np.ndarray, quad: tuple[int, int, int, int], shape: int) -> float:
-    """Weight of one of the three 4-cycles on a sorted 1-based quad.
-
-    The association order replicates the vectorised quad scan bit for bit,
-    so recomputed weights compare exactly against scanned minima.
+    This is the seed scan's summation order, so recomputed weights compare
+    exactly against scanned ones.
     """
-    a, b, c, d = (v - 1 for v in quad)
-    if shape == 0:  # a-b-c-d
-        return float(((w[c, d] + w[b, c]) + w[a, d]) + w[a, b])
-    if shape == 1:  # a-b-d-c
-        return float(((w[d, c] + w[b, d]) + w[a, c]) + w[a, b])
-    if shape == 2:  # a-c-b-d
-        return float((w[a, c] + w[b, c]) + (w[a, d] + w[b, d]))
-    raise AssertionError(f"bad shape {shape}")
+    a, x, c, y = (v - 1 for v in walk)
+    return float((w[a, x] + w[x, c]) + (w[a, y] + w[y, c]))
 
 
 @dataclass(frozen=True)
@@ -107,22 +92,16 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
         raise DomainError(f"need 4 distinct vertices, got {tuple(quad)}")
     if not (1 <= vs[0] and vs[3] <= inst.n):
         raise DomainError(f"vertex out of range for n={inst.n}: {vs}")
-    cycles = []
-    weights = []
-    walks = []
-    for shape, walk in enumerate(_QUAD_WALKS):
-        order = tuple(vs[i] for i in walk)
-        ids = [
-            inst.edge_id(order[i], order[(i + 1) % 4]) for i in range(4)
-        ]
-        cycles.append(EdgeSet.of(ids, inst.m))
-        walks.append(order)
-        weights.append(_shape_weight(inst.weights, vs, shape))
+    a, b, c, d = vs
+    cands = [
+        _four_cycle(inst, walk, _wedge_weight(inst.weights, walk))
+        for walk in ((a, b, c, d), (a, b, d, c), (a, c, b, d))
+    ]
     return QuadCycleTriple(
         quad=vs,
-        cycles=tuple(cycles),
-        weights=tuple(weights),
-        walks=tuple(walks),
+        cycles=tuple(cand.edges for cand in cands),
+        weights=tuple(cand.weight for cand in cands),
+        walks=tuple(cand.order for cand in cands),
     )
 
 
@@ -238,120 +217,68 @@ class Frontier:
         )
 
 
-def _seed_candidate(
-    inst: CompleteInstance, quad0: tuple[int, int, int, int], shape: int
+def _four_cycle(
+    inst: CompleteInstance, walk: tuple[int, int, int, int], weight: float
 ) -> FrontierCandidate:
-    """Materialise one scanned seed (0-based quad, shape index)."""
-    vs = tuple(v + 1 for v in quad0)
-    order = tuple(vs[i] for i in _QUAD_WALKS[shape])
-    ids = [inst.edge_id(order[i], order[(i + 1) % 4]) for i in range(4)]
-    return FrontierCandidate(
-        order=order,
-        edges=EdgeSet.of(ids, inst.m),
-        weight=_shape_weight(inst.weights, vs, shape),
-    )
+    ids = [inst.edge_id(walk[i], walk[(i + 1) % 4]) for i in range(4)]
+    return FrontierCandidate(order=walk, edges=EdgeSet.of(ids, inst.m), weight=weight)
 
 
-def _scan_quads(inst: CompleteInstance):
-    """Yield per-block arrays for the quad scan.
+def _wedge_rows(w: np.ndarray, a: int, cs: np.ndarray) -> np.ndarray:
+    """Rows ``cs`` of the wedge matrix of smallest vertex ``a`` (0-based).
 
-    For each pivot b and chunk of vertices a < b the block matrix holds,
-    at entry (x, y) over the region idx = (b+1 .. n-1):
-
-        out[a, x, y] = w(idx_x, idx_y) + w(b, idx_x) + w(a, idx_y) + w(a, b)
-
-    Read with x != y this is the weight of the 4-cycle a-b-idx_x-idx_y, so
-    the upper triangle covers walk a-b-c-d and the lower covers a-b-d-c.
-    The separable vector h[x] = w(a, idx_x) + w(b, idx_x) gives the third
-    walk a-c-b-d as h[x] + h[y].
+    Entry (c, x) over x = a+1 .. n-1 is w(a, x) + w(x, c), the 2-path
+    a-x-c across the diagonal (a, c); it is inf where x == c.
     """
+    xs = np.arange(a + 1, len(w))
+    rows = w[a, xs] + w[np.ix_(cs, xs)]
+    rows[np.arange(len(cs)), cs - (a + 1)] = np.inf
+    return rows
+
+
+def _seed_scan(inst: CompleteInstance, width: int | None) -> list[FrontierCandidate]:
+    """Each quad's cheapest 4-cycles, as far as the beam rule can keep them.
+
+    The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
+    is c is the wedge sum W[c, x] + W[c, y] with x < y, so every 4-cycle is
+    scanned once.  Pass 1 takes each diagonal's cheapest cycle from its
+    two cheapest wedges and sets a cut: the global minimum for "all-ties";
+    for a beam B the 3B-th cheapest diagonal, since those 3B cycles span at
+    least B quads and the beam cuts no higher.  Pass 2 lists every cycle
+    at or below the cut and keeps each quad's minimum.
+    """
+    w = inst.weights
     n = inst.n
-    w = inst.weights
-    for b in range(1, n - 2):
-        idx = np.arange(b + 1, n)
-        mp = idx.size
-        sub = w[np.ix_(idx, idx)].copy()
-        np.fill_diagonal(sub, np.inf)
-        base = sub + w[b, idx][:, None]
-        rows = w[:b][:, idx]
-        wab = w[:b, b]
-        chunk = max(1, _CHUNK_CELLS // (mp * mp))
-        for lo in range(0, b, chunk):
-            hi = min(b, lo + chunk)
-            out = base[None, :, :] + rows[lo:hi][:, None, :]
-            h = rows[lo:hi] + w[b, idx][None, :]
-            yield b, lo, idx, out, h, wab[lo:hi]
+    diag = []
+    for a in range(n - 3):
+        part = np.partition(_wedge_rows(w, a, np.arange(a + 1, n)), 1, axis=1)
+        diag.append(part[:, 0] + part[:, 1])
+    mins = np.concatenate(diag)
+    if width is None:
+        cut = mins.min()
+    elif 3 * width <= mins.size:
+        cut = np.partition(mins, 3 * width - 1)[3 * width - 1]
+    else:
+        cut = np.inf
 
-
-def _seed_scan_all_ties(inst: CompleteInstance) -> list[tuple[tuple, int]]:
-    """All (quad, shape) pairs achieving the global minimum 4-cycle weight."""
-    best = np.inf
-    hits: list[tuple[tuple, int]] = []
-    for b, lo, idx, out, h, wab in _scan_quads(inst):
-        mins = out.min(axis=(1, 2))
-        cand = mins + wab
-        p2 = np.partition(h, 1, axis=1)
-        s3 = p2[:, 0] + p2[:, 1]
-        block_best = min(cand.min(), s3.min())
-        if block_best > best:
-            continue
-        if block_best < best:
-            best = block_best
-            hits = []
-        for i in range(out.shape[0]):
-            a = lo + i
-            if cand[i] == best:
-                for x, y in np.argwhere(out[i] == mins[i]):
-                    c, d = int(idx[x]), int(idx[y])
-                    if x < y:
-                        hits.append(((a, b, c, d), 0))
-                    else:
-                        hits.append(((a, b, d, c), 1))
-            if s3[i] == best:
-                pair = np.add.outer(h[i], h[i])
-                for x, y in np.argwhere(np.triu(pair == best, k=1)):
-                    hits.append(((a, b, int(idx[x]), int(idx[y])), 2))
-    return hits
-
-
-def _seed_scan_beam(inst: CompleteInstance, beam: int) -> list[tuple[tuple, int]]:
-    """(quad, shape) pairs for the beam rule over per-quad minima."""
-    pool: list[tuple[float, tuple[int, int, int, int]]] = []
-    threshold = np.inf
-
-    def prune() -> None:
-        nonlocal threshold, pool
-        if len(pool) <= beam:
-            return
-        pool.sort(key=lambda t: t[0])
-        cut = pool[beam - 1][0]
-        pool = [p for p in pool if p[0] <= cut]
-        threshold = cut
-
-    for b, lo, idx, out, h, wab in _scan_quads(inst):
-        qf = np.minimum(out, out.transpose(0, 2, 1))
-        for i in range(out.shape[0]):
-            a = lo + i
-            q = qf[i] + wab[i]
-            np.minimum(q, np.add.outer(h[i], h[i]), out=q)
-            iu = np.triu_indices(q.shape[0], k=1)
-            vals = q[iu]
-            take = np.nonzero(vals <= threshold)[0]
-            for t in take:
-                x, y = int(iu[0][t]), int(iu[1][t])
-                pool.append((float(vals[t]), (a, b, int(idx[x]), int(idx[y]))))
-            if len(pool) > 8 * beam:
-                prune()
-    prune()
-
-    hits: list[tuple[tuple, int]] = []
-    w = inst.weights
-    for qmin, quad0 in sorted(pool, key=lambda t: t[0]):
-        vs = tuple(v + 1 for v in quad0)
-        for s in range(3):
-            if _shape_weight(w, vs, s) == qmin:
-                hits.append((quad0, s))
-    return hits
+    hits = []
+    for a, dmin in enumerate(diag):
+        cs = a + 1 + np.flatnonzero(dmin <= cut)
+        for c, row in zip(cs, _wedge_rows(w, a, cs)):
+            pair = row[:, None] + row[None, :]
+            keep = np.triu((pair <= cut) & np.isfinite(pair), k=1)
+            for x, y in np.argwhere(keep):
+                walk = (a + 1, a + 2 + int(x), int(c) + 1, a + 2 + int(y))
+                hits.append((float(pair[x, y]), walk))
+    best: dict[tuple[int, ...], float] = {}
+    for weight, walk in hits:
+        quad = tuple(sorted(walk))
+        best[quad] = min(weight, best.get(quad, weight))
+    return [
+        _four_cycle(inst, walk, weight)
+        for weight, walk in hits
+        if weight == best[tuple(sorted(walk))]
+    ]
 
 
 def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
@@ -359,14 +286,7 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
     if inst.n < 4:
         raise DomainError(f"seeding needs n >= 4, got n={inst.n}")
     width = parse_beam(beam)
-    if width is None:
-        raw = _seed_scan_all_ties(inst)
-    else:
-        raw = _seed_scan_beam(inst, width)
-    cands = sorted(
-        {c.edges: c for c in (_seed_candidate(inst, q, s) for q, s in raw)}.values(),
-        key=FrontierCandidate.sort_key,
-    )
+    cands = sorted(_seed_scan(inst, width), key=FrontierCandidate.sort_key)
     return Frontier(candidates=_apply_beam(cands, width), length=4, beam=width)
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ringtour import cli
 from ringtour.cli import RunReport, main
 
 K6_MATRIX_TEXT = """6
@@ -307,6 +308,18 @@ class TestUsageAndErrors:
         assert f"{flag} must be at least 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "row", ["nan 1", "1 inf", "-inf 0", "1e308 0", "-1e308 0"]
+    )
+    def test_coords_not_finite(self, capsys, tmp_path, row):
+        pts = tmp_path / "pts.txt"
+        pts.write_text(f"3\n0 0\n{row}\n1e308 5\n")
+        code, out, err = run_cli(capsys, "solve", "--coords", str(pts))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ringtour: error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_out_is_directory(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "solve", "--random", "n=6", "seed=1", "--out", str(tmp_path)
@@ -362,6 +375,44 @@ class TestBenchCommand:
         par_rows = json.loads(par_out)["results"]["rows"]
         key = lambda r: (r["n"], r["seed"], r["weight"])
         assert [key(r) for r in seq_rows] == [key(r) for r in par_rows]
+
+    @pytest.mark.parametrize(
+        "workers, seeds, cpus, started",
+        [
+            ("64", "3", 8, [3]),  # capped by the task count
+            ("64", "6", 4, [4]),  # capped by the cores
+            ("2", "6", 8, [2]),  # as asked
+            ("5", "1", 8, []),  # one task runs in-process
+            ("5", "6", None, []),  # unknown core count counts as one
+        ],
+    )
+    def test_bench_worker_pool_size(
+        self, capsys, monkeypatch, workers, seeds, cpus, started
+    ):
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(
+            capsys, "bench", "--sizes", "5", "--seeds", seeds,
+            "--workers", workers, "--format", "json",
+        )
+        assert code == 0
+        assert sizes == started
+        assert len(json.loads(out)["results"]["rows"]) == int(seeds)
 
 
 class TestRunReport:

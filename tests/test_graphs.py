@@ -12,6 +12,7 @@ from ringtour import (
     DomainError,
     GeneralGraph,
     InstanceSource,
+    InvalidInstanceError,
     NegativeWeightError,
     ParseError,
     edge_endpoints,
@@ -105,6 +106,26 @@ class TestParsing:
         inst = parse_coords_text("3\n0 0\n1.5 2.0\n6 0\n")
         assert inst.weight(1, 2) == 3
         assert inst.weight(1, 3) == 6
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("3\n0 0\nnan 1\n6 0\n", "<coords>:3: coordinates"),
+            ("3\n0 0\n1 inf\n6 0\n", "<coords>:3: coordinates"),
+            ("3\n0 0\n1 1\n-inf 0\n", "<coords>:4: coordinates"),
+            ("3\n0 0\n1 1e309\n6 0\n", "<coords>:3: coordinates"),
+            ("3\n1e308 0\n0 0\n-1e308 0\n", "<coords>:4: distance"),
+            ("3\n0 -1e308\n0 1e308\n6 0\n", "<coords>:3: distance"),
+        ],
+    )
+    def test_coords_not_finite(self, text, where):
+        with pytest.raises(ParseError, match=where):
+            parse_coords_text(text)
+
+    def test_overflowing_weights_rejected(self):
+        # finite distances whose cycle sums overflow
+        with pytest.raises(InvalidInstanceError, match="overflow"):
+            parse_coords_text("3\n0 0\n1e308 0\n1e308 5\n")
 
     def test_parse_failures(self):
         with pytest.raises(ParseError):

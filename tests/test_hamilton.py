@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,8 +20,10 @@ from ringtour import (
     obod,
     random_instance,
     to_vertex_sequence,
+    triangle_index,
     triangles,
 )
+from ringtour.hamilton import _triangle_by_index
 
 
 def tri_on(tri_set, verts):
@@ -185,6 +189,24 @@ class TestBuildHamiltonian:
                 res = build_hamiltonian(inst, start_triangle=start)
                 got = [(s.triangle, s.shared_edge, s.weight) for s in res.trace.steps]
                 assert got == reference_build(inst, start)
+
+
+class TestTriangleByIndex:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_round_trip_every_id(self, n):
+        for k, tri in enumerate(combinations(range(1, n + 1), 3), start=1):
+            assert _triangle_by_index(n, k) == tri
+            assert triangle_index(n, *tri) == k
+
+    def test_last_id_large_n(self):
+        last = math.comb(300, 3)
+        assert _triangle_by_index(300, last) == (298, 299, 300)
+        assert triangle_index(300, 298, 299, 300) == last
+
+    @pytest.mark.parametrize("k", [0, 21])
+    def test_out_of_range(self, k):
+        with pytest.raises(DomainError):
+            _triangle_by_index(6, k)
 
 
 class TestVertexSequence:

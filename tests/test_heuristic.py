@@ -59,6 +59,38 @@ def reference_extend(inst, frontier, triangle_set):
     return [entry for entry in ranked if entry[0] <= cut]
 
 
+def reference_seeds(inst, beam):
+    """Seed frontier as (weight, edge ids, walk), straight from quad_cycles.
+
+    Every quad keeps its cheapest cycles; then either the global-minimum
+    ties or the beam cut with cutoff ties kept.
+    """
+    entries = []
+    for quad in combinations(range(1, inst.n + 1), 4):
+        qt = quad_cycles(inst, quad)
+        best = min(qt.weights)
+        entries.extend(
+            (weight, cyc.ids(), walk)
+            for weight, cyc, walk in zip(qt.weights, qt.cycles, qt.walks)
+            if weight == best
+        )
+    entries.sort()
+    if beam == "all-ties":
+        cut = entries[0][0]
+    else:
+        cut = entries[min(beam, len(entries)) - 1][0]
+    return [entry for entry in entries if entry[0] <= cut]
+
+
+def decimal_instance(n, seed):
+    rng = random.Random(seed)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i, j] = w[j, i] = rng.randint(1, 100) / 10
+    return CompleteInstance(w)
+
+
 class TestQuadCycles:
     def test_k4(self, k4):
         qt = quad_cycles(k4, (1, 2, 3, 4))
@@ -138,6 +170,45 @@ class TestSeedFrontier:
                 qt.cycles[i].ids() for i in range(3) if qt.weights[i] == best
             )
         assert {c.edges.ids() for c in f.candidates} == set(per_quad)
+
+    # 200 is wider than three times the 52 diagonals (a, c) at n = 11
+    @pytest.mark.parametrize("beam", ["all-ties", 1, 2, 3, 5, 50, 200])
+    @pytest.mark.parametrize("weights", [(1, 100), (1, 3), (4, 4)])
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_matches_quad_oracle(self, n, weights, beam):
+        inst = random_instance(n, 100 * n + weights[1], weights)
+        seeds = seed_frontier(inst, beam).candidates
+        got = [(c.weight, c.edges.ids(), c.order) for c in seeds]
+        assert got == reference_seeds(inst, beam)
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4])
+    def test_beam_reaches_past_cheap_quads(self, beam):
+        # quads 1234 and 5678 hold the six cheapest cycles (6, 8, 10 each)
+        # on six diagonals, so the beam's third seed lies on another quad
+        rng = random.Random(beam)
+        w = np.zeros((9, 9))
+        for i in range(9):
+            for j in range(i + 1, 9):
+                w[i, j] = w[j, i] = rng.randint(40, 60)
+        for a in (1, 5):
+            pattern = {(0, 1): 1, (2, 3): 1, (1, 2): 2, (0, 3): 2, (0, 2): 3, (1, 3): 3}
+            for (u, v), weight in pattern.items():
+                w[a + u - 1, a + v - 1] = w[a + v - 1, a + u - 1] = weight
+        inst = CompleteInstance(w)
+        assert quad_cycles(inst, (5, 6, 7, 8)).weights == (6, 8, 10)
+        seeds = seed_frontier(inst, beam).candidates
+        assert [(c.weight, c.edges.ids(), c.order) for c in seeds] == reference_seeds(
+            inst, beam
+        )
+        assert len({frozenset(c.order) for c in seeds}) >= beam
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decimal_weights_match_quad_cycles(self, seed):
+        # the scan and quad_cycles sum each cycle in the same order
+        inst = decimal_instance(7 + seed, seed)
+        for beam in ("all-ties", 1, 5, 50):
+            for c in seed_frontier(inst, beam).candidates:
+                assert c.weight == min(quad_cycles(inst, c.order).weights)
 
     def test_too_small(self):
         inst = random_instance(3, 1, (1, 9))
