@@ -65,7 +65,6 @@ from .isocycles import (
 )
 from .oracle import OracleResult, brute_force, held_karp
 from .tours import (
-    FrontierSnapshot,
     TourResult,
     TourTrace,
     TraceStep,
@@ -86,7 +85,6 @@ __all__ = [
     "EdgeSet",
     "Frontier",
     "FrontierCandidate",
-    "FrontierSnapshot",
     "GeneralGraph",
     "InstanceSource",
     "InvalidInstanceError",

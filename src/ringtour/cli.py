@@ -22,7 +22,6 @@ from itertools import combinations
 from pathlib import Path
 from statistics import median
 
-from .edgesets import EdgeSet
 from .errors import DomainError, RingtourError
 from .graphs import CompleteInstance, InstanceSource, edge_id, load_instance
 from .hamilton import build_hamiltonian
@@ -68,8 +67,6 @@ def _fmt_tour(seq) -> str:
 
 
 def _fmt_edges(ids) -> str:
-    if isinstance(ids, EdgeSet):
-        return ids.render()
     return "{" + ",".join(f"e{e}" for e in ids) + "}"
 
 
@@ -546,10 +543,7 @@ _TEXT_RENDERERS = {
 def _render(report: RunReport, fmt: str) -> str:
     if fmt == "json":
         return report.to_json()
-    renderer = _TEXT_RENDERERS.get(report.command)
-    if renderer is None:
-        return report.to_json()
-    return renderer(report)
+    return _TEXT_RENDERERS[report.command](report)
 
 
 def build_parser() -> _Parser:

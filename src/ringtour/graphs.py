@@ -229,35 +229,37 @@ def _parse_numbers(line: str, path: str, lineno: int) -> list[float]:
     return out
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(file line number, line) for every line that is not blank or a comment."""
+    return [
+        (k, ln)
+        for k, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
 
 
-def _parse_order(lines: list[str], path: str) -> int:
+def _parse_order(lines: list[tuple[int, str]], path: str) -> int:
     if not lines:
         raise ParseError(f"{path}: empty file")
-    head = lines[0].split()
+    k, line = lines[0]
+    head = line.split()
     if len(head) != 1:
-        raise ParseError(f"{path}:1: expected a single vertex count, got {lines[0]!r}")
+        raise ParseError(f"{path}:{k}: expected a single vertex count, got {line!r}")
     try:
         n = int(head[0])
     except ValueError:
-        raise ParseError(f"{path}:1: vertex count is not an integer: {head[0]!r}") from None
+        raise ParseError(f"{path}:{k}: vertex count is not an integer: {head[0]!r}") from None
     return n
 
 
 def parse_matrix_text(text: str, path: str = "<matrix>") -> CompleteInstance:
     """Full-matrix format: line 1 is n, then n rows of n numbers."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _content_lines(text)
     n = _parse_order(lines, path)
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
-    for k, line in enumerate(lines[1:], start=2):
+    for k, line in lines[1:]:
         row = _parse_numbers(line, path, k)
         if len(row) != n:
             raise ParseError(f"{path}:{k}: expected {n} entries, found {len(row)}")
@@ -267,16 +269,16 @@ def parse_matrix_text(text: str, path: str = "<matrix>") -> CompleteInstance:
 
 def parse_upper_text(text: str, path: str = "<upper>") -> CompleteInstance:
     """Upper-row format: line 1 is n, then n-1 rows of w(i,j) for j>i."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _content_lines(text)
     n = _parse_order(lines, path)
     if len(lines) != n:
         raise ParseError(f"{path}: expected {n - 1} upper rows, found {len(lines) - 1}")
     w = np.zeros((n, n), dtype=np.float64)
-    for i, line in enumerate(lines[1:], start=1):
-        row = _parse_numbers(line, path, i + 1)
+    for i, (k, line) in enumerate(lines[1:], start=1):
+        row = _parse_numbers(line, path, k)
         if len(row) != n - i:
             raise ParseError(
-                f"{path}:{i + 1}: expected {n - i} entries for row {i}, found {len(row)}"
+                f"{path}:{k}: expected {n - i} entries for row {i}, found {len(row)}"
             )
         for off, val in enumerate(row):
             j = i + 1 + off
@@ -291,25 +293,26 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
     Distances follow the TSPLIB EUC_2D convention: the Euclidean distance
     rounded half-up to an integer.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _content_lines(text)
     n = _parse_order(lines, path)
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} coordinate rows, found {len(lines) - 1}")
     pts = []
-    for k, line in enumerate(lines[1:], start=2):
+    for k, line in lines[1:]:
         row = _parse_numbers(line, path, k)
         if len(row) != 2:
             raise ParseError(f"{path}:{k}: expected `x y`, found {len(row)} values")
         if not all(map(math.isfinite, row)):
             raise ParseError(f"{path}:{k}: coordinates must be finite")
         pts.append((row[0], row[1]))
+    at = [k for k, _ in lines[1:]]
     w = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
             d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
             if not math.isfinite(d):
                 raise ParseError(
-                    f"{path}:{j + 2}: distance to the point on line {i + 2} overflows"
+                    f"{path}:{at[j]}: distance to the point on line {at[i]} overflows"
                 )
             w[i, j] = w[j, i] = math.floor(d + 0.5)
     return CompleteInstance(w)
@@ -342,7 +345,10 @@ def load_instance(source: InstanceSource) -> CompleteInstance:
         return random_instance(source.n, source.seed, (source.lo, source.hi))
     if source.path is None:
         raise DomainError(f"{source.kind} source needs a path")
-    text = "\n".join(_read_lines(source.path))
+    try:
+        text = Path(source.path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {source.path}: {exc}") from None
     if source.kind == "matrix":
         return parse_matrix_text(text, str(source.path))
     if source.kind == "upper":

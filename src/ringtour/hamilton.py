@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .edgesets import Cycle, EdgeSet
+from .edgesets import Cycle
 from .errors import DomainError
 from .graphs import CompleteInstance
 from .heuristic import FrontierCandidate, grow, tour_result
@@ -66,19 +66,8 @@ def build_hamiltonian(
     n = inst.n
     a, b, c = _triangle_by_index(n, 1 if start_triangle is None else start_triangle)
     w = inst.weight(a, b) + inst.weight(a, c) + inst.weight(b, c)
-    cand = FrontierCandidate(
-        order=(a, b, c),
-        edges=EdgeSet.of(
-            (inst.edge_id(a, b), inst.edge_id(a, c), inst.edge_id(b, c)), inst.m
-        ),
-        weight=w,
-        step=TraceStep(
-            triangle=(a, b, c),
-            triangle_id=triangle_index(n, a, b, c),
-            shared_edge=0,
-            weight=w,
-        ),
-    )
+    step = TraceStep((a, b, c), triangle_index(n, a, b, c), shared_edge=0, weight=w)
+    cand = FrontierCandidate.root(inst, (a, b, c), w, step)
     for apex in range(1, n + 1):
         if apex in (a, b, c):
             continue

@@ -5,10 +5,11 @@ length.  Seeding picks, over every 4-vertex subset, the cheapest of its
 three 4-cycles; each extension round ring-sums every touching triangle
 into every candidate (one shared cycle edge plus one uncovered apex) and
 keeps the cheapest results.  After n-4 rounds the frontier holds
-Hamiltonian cycles.  A candidate is a closed vertex walk, and summing in a
-touching triangle is :func:`grow`: insert the apex between the two ends
-of one walk edge.  :func:`~ringtour.hamilton.build_hamiltonian` grows its
-cycle with the same step.
+Hamiltonian cycles.  A candidate is a closed vertex walk plus its sorted
+edge ids, and summing in a touching triangle is :func:`grow`: insert the
+apex between the two ends of one walk edge.
+:func:`~ringtour.hamilton.build_hamiltonian` grows its cycle with the
+same step.
 
 Beam policy: the default "all-ties" keeps every candidate tied at the
 round minimum, which is what reproduces the worked desk examples.  An
@@ -36,13 +37,7 @@ from .edgesets import Cycle, EdgeSet
 from .errors import DomainError
 from .graphs import CompleteInstance
 from .isocycles import triangle_count, triangle_index
-from .tours import (
-    FrontierSnapshot,
-    TourResult,
-    TourTrace,
-    TraceStep,
-    cycle_vertex_sequence,
-)
+from .tours import TourResult, TourTrace, TraceStep, cycle_vertex_sequence
 
 BeamSpec = int | str | None
 
@@ -94,7 +89,7 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
         raise DomainError(f"vertex out of range for n={inst.n}: {vs}")
     a, b, c, d = vs
     cands = [
-        _four_cycle(inst, walk, _wedge_weight(inst.weights, walk))
+        FrontierCandidate.root(inst, walk, _wedge_weight(inst.weights, walk))
         for walk in ((a, b, c, d), (a, b, d, c), (a, c, b, d))
     ]
     return QuadCycleTriple(
@@ -109,24 +104,42 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
 class FrontierCandidate:
     """A simple cycle as a closed vertex walk, linked to the cycle it grew from.
 
-    ``edges`` is the walk's edge set and the key that merges duplicates.
+    ``ids``, the walk's sorted edge ids, merges duplicates and breaks weight
+    ties; ``edges`` rebuilds the edge set in the ``m`` edges of K_n.
     ``step`` is the triangle summed into ``parent`` to make this cycle; a
     root has no parent, and its step, if any, is the triangle it starts as.
     """
 
     order: tuple[int, ...]
-    edges: EdgeSet
+    ids: tuple[int, ...]
     weight: float
+    m: int
     # Left out of == and repr, which would otherwise recurse down the chain.
     parent: FrontierCandidate | None = field(default=None, compare=False, repr=False)
     step: TraceStep | None = None
+
+    @classmethod
+    def root(
+        cls,
+        inst: CompleteInstance,
+        order: tuple[int, ...],
+        weight: float,
+        step: TraceStep | None = None,
+    ) -> FrontierCandidate:
+        """A candidate with no parent, its key read off the walk ``order``."""
+        ids = sorted(inst.edge_id(u, v) for u, v in zip(order, order[1:] + order[:1]))
+        return cls(order, tuple(ids), weight, inst.m, step=step)
+
+    @property
+    def edges(self) -> EdgeSet:
+        return EdgeSet.of(self.ids, self.m)
 
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self.order)
 
     def sort_key(self) -> tuple:
-        return (self.weight, self.edges.ids())
+        return (self.weight, self.ids)
 
     def as_cycle(self) -> Cycle:
         return Cycle(
@@ -153,17 +166,16 @@ def grow(
     order = cand.order
     u, v = order[i], order[(i + 1) % len(order)]
     shared = inst.edge_id(u, v)
-    mask = (
-        cand.edges.mask
-        ^ (1 << shared)
-        ^ (1 << inst.edge_id(u, apex))
-        ^ (1 << inst.edge_id(v, apex))
-    )
+    ids = list(cand.ids)
+    ids.remove(shared)
+    ids += (inst.edge_id(u, apex), inst.edge_id(v, apex))
+    ids.sort()
     tri = tuple(sorted((u, v, apex)))
     return FrontierCandidate(
         order=order[: i + 1] + (apex,) + order[i + 1 :],
-        edges=EdgeSet(inst.m, mask),
+        ids=tuple(ids),
         weight=weight,
+        m=cand.m,
         parent=cand,
         step=TraceStep(
             triangle=tri,
@@ -177,7 +189,7 @@ def grow(
 def tour_result(
     inst: CompleteInstance,
     cand: FrontierCandidate,
-    history: list[FrontierSnapshot] | None = None,
+    history: list[Frontier] | None = None,
 ) -> TourResult:
     """The tour ``cand`` spans, with its trace rebuilt from the parent chain."""
     chain = [cand]
@@ -191,9 +203,10 @@ def tour_result(
         steps=tuple(c.step for c in reversed(chain) if c.step is not None),
         frontier_history=tuple(history) if history is not None else None,
     )
-    seq = cycle_vertex_sequence(cand.edges, inst.endpoints)
+    edges = cand.edges
+    seq = cycle_vertex_sequence(edges, inst.endpoints)
     return TourResult(
-        sequence=seq, edges=cand.edges, weight=cand.weight, trace=trace, n=inst.n
+        sequence=seq, edges=edges, weight=cand.weight, trace=trace, n=inst.n
     )
 
 
@@ -209,19 +222,9 @@ class Frontier:
     def weight(self) -> float:
         return self.candidates[0].weight
 
-    def snapshot(self) -> FrontierSnapshot:
-        return FrontierSnapshot(
-            length=self.length,
-            weight=self.weight,
-            edge_sets=tuple(c.edges for c in self.candidates),
-        )
-
-
-def _four_cycle(
-    inst: CompleteInstance, walk: tuple[int, int, int, int], weight: float
-) -> FrontierCandidate:
-    ids = [inst.edge_id(walk[i], walk[(i + 1) % 4]) for i in range(4)]
-    return FrontierCandidate(order=walk, edges=EdgeSet.of(ids, inst.m), weight=weight)
+    @property
+    def edge_sets(self) -> tuple[EdgeSet, ...]:
+        return tuple(c.edges for c in self.candidates)
 
 
 def _wedge_rows(w: np.ndarray, a: int, cs: np.ndarray) -> np.ndarray:
@@ -275,7 +278,7 @@ def _seed_scan(inst: CompleteInstance, width: int | None) -> list[FrontierCandid
         quad = tuple(sorted(walk))
         best[quad] = min(weight, best.get(quad, weight))
     return [
-        _four_cycle(inst, walk, weight)
+        FrontierCandidate.root(inst, walk, weight)
         for weight, walk in hits
         if weight == best[tuple(sorted(walk))]
     ]
@@ -336,13 +339,13 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     else:
         classes = np.unique(np.concatenate([vals.ravel() for _, _, vals in blocks]))
 
-    merged: dict[EdgeSet, FrontierCandidate] = {}
+    merged: dict[tuple[int, ...], FrontierCandidate] = {}
     for cls in classes:
         weight = float(cls)
         for cand, outs, vals in blocks:
             for i, oi in np.argwhere(vals == cls):
                 child = grow(inst, cand, int(i), int(outs[oi]) + 1, weight)
-                merged.setdefault(child.edges, child)
+                merged.setdefault(child.ids, child)
         if frontier.beam is None or len(merged) >= frontier.beam:
             break
 
@@ -361,21 +364,21 @@ def solve(
 
     Ties for the final answer break to the lexicographically smallest edge
     set.  The result's trace records the seed quad and every triangle
-    summed along the winning lineage; with ``trace=True`` it also keeps a
-    snapshot of each round's frontier.
+    summed along the winning lineage; with ``trace=True`` it also keeps
+    each round's frontier.
     """
     n = inst.n
     if n == 3:
         weight = inst.weight(1, 2) + inst.weight(1, 3) + inst.weight(2, 3)
-        root = FrontierCandidate((1, 2, 3), EdgeSet.of((1, 2, 3), inst.m), weight)
+        root = FrontierCandidate.root(inst, (1, 2, 3), weight)
         frontier = Frontier(candidates=(root,), length=3, beam=None)
     else:
         frontier = seed_frontier(inst, beam)
-    history = [frontier.snapshot()] if trace else None
+    history = [frontier] if trace else None
     while frontier.length < n:
         frontier = extend_frontier(inst, frontier)
         if history is not None:
-            history.append(frontier.snapshot())
+            history.append(frontier)
     return tour_result(inst, frontier.candidates[0], history)
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .edgesets import EdgeSet
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .heuristic import Frontier
 
 
 def cycle_vertex_sequence(
@@ -49,15 +52,6 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
-class FrontierSnapshot:
-    """State of the working candidate set after one selection round."""
-
-    length: int
-    weight: float
-    edge_sets: tuple[EdgeSet, ...]
-
-
-@dataclass(frozen=True)
 class TourTrace:
     """Which cycles were ring-summed, in order, to build the tour."""
 
@@ -65,7 +59,7 @@ class TourTrace:
     seed_vertices: tuple[int, ...]
     seed_weight: float
     steps: tuple[TraceStep, ...] = ()
-    frontier_history: tuple[FrontierSnapshot, ...] | None = None
+    frontier_history: tuple[Frontier, ...] | None = None
 
 
 @dataclass(frozen=True)

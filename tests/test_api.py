@@ -17,3 +17,16 @@ def test_exports_sorted_and_unique():
 def test_construction_state_is_gone():
     assert "ConstructionState" not in ringtour.__all__
     assert not hasattr(ringtour, "ConstructionState")
+
+
+def test_frontier_snapshot_is_gone():
+    assert "FrontierSnapshot" not in ringtour.__all__
+    assert not hasattr(ringtour, "FrontierSnapshot")
+    assert not hasattr(ringtour.tours, "FrontierSnapshot")
+    assert not hasattr(ringtour.Frontier, "snapshot")
+
+
+def test_frontier_history_holds_frontiers(k6):
+    hist = ringtour.solve(k6, trace=True).trace.frontier_history
+    assert all(isinstance(f, ringtour.Frontier) for f in hist)
+    assert [f.length for f in hist] == [4, 5, 6]

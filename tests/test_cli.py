@@ -260,6 +260,13 @@ class TestUsageAndErrors:
         )
         assert code == 2
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        bad = tmp_path / "binary.txt"
+        bad.write_bytes(b"\xff\xfe3\n")
+        code, _, err = run_cli(capsys, "solve", "--matrix", str(bad))
+        assert code == 2
+        assert err.startswith("ringtour: error: cannot read")
+
     def test_help(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

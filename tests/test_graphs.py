@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,52 @@ class TestParsing:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_instance(InstanceSource(kind="matrix", path=tmp_path / "nope.txt"))
+
+    def test_load_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe3\n")
+        with pytest.raises(ParseError, match="cannot read"):
+            load_instance(InstanceSource(kind="matrix", path=path))
+
+    # Comment and blank lines still count: messages name the file's own line.
+    @pytest.mark.parametrize(
+        "parse, text, where",
+        [
+            (parse_matrix_text, "# c\n\n3\n0 1 2\n1 0 x\n2 3 0\n", ":5: not a number: 'x'"),
+            (parse_matrix_text, "# c\n\n3\n0 1 2\n\n1 0\n2 3 0\n", ":6: expected 3 entries"),
+            (parse_matrix_text, "# c\n\n3 3\n0 1 2\n", ":3: expected a single vertex"),
+            (parse_matrix_text, "\n# c\nx\n0 1 2\n", ":3: vertex count is not an integer"),
+            (parse_upper_text, "# c\n\n3\n1 2\n# row 2\n\nx\n", ":7: not a number: 'x'"),
+            (parse_upper_text, "# c\n\n3\n1 2\n\n4 5\n", ":6: expected 1 entries for row 2"),
+            (parse_coords_text, "# c\n\n3\n0 0\n# p\n1 1 1\n6 0\n", ":6: expected `x y`"),
+            (parse_coords_text, "# c\n\n3\n0 0\n\n1 inf\n6 0\n", ":6: coordinates must be"),
+            (
+                parse_coords_text,
+                "# c\n\n3\n1e308 0\n\n0 0\n# p\n-1e308 0\n",
+                ":8: distance to the point on line 4 overflows",
+            ),
+        ],
+        ids=[
+            "matrix-number",
+            "matrix-entries",
+            "matrix-header",
+            "matrix-order",
+            "upper-number",
+            "upper-entries",
+            "coords-entries",
+            "coords-finite",
+            "coords-overflow",
+        ],
+    )
+    def test_error_lines_count_comments_and_blanks(self, parse, text, where):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse(text)
+
+    def test_load_instance_error_names_file_line(self, tmp_path):
+        path = tmp_path / "k3.txt"
+        path.write_text("# c\n\n3\n0 1 2\n1 0 x\n2 3 0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5: not a number: 'x'")):
+            load_instance(InstanceSource(kind="matrix", path=path))
 
 
 class TestRandomInstance:

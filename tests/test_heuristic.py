@@ -222,6 +222,47 @@ class TestSeedFrontier:
             seed_frontier(k5, beam="few")
 
 
+def walk_edge_ids(inst, order):
+    size = len(order)
+    return tuple(
+        sorted(inst.edge_id(order[k], order[(k + 1) % size]) for k in range(size))
+    )
+
+
+class TestCandidateKey:
+    @pytest.mark.parametrize("beam", ["all-ties", 1, 4])
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_instance(10, 3, (1, 100)),
+            random_instance(10, 4, (1, 3)),
+            decimal_instance(10, 5),
+        ],
+        ids=["integer", "1..3", "tenths"],
+    )
+    def test_ids_are_the_walks_sorted_edge_ids(self, inst, beam):
+        frontier = seed_frontier(inst, beam)
+        while True:
+            for c in frontier.candidates:
+                assert c.ids == walk_edge_ids(inst, c.order) == c.edges.ids()
+            if frontier.length == inst.n:
+                break
+            frontier = extend_frontier(inst, frontier)
+
+    def test_hot_loop_builds_no_edge_sets(self, monkeypatch):
+        built = []
+        init = EdgeSet.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EdgeSet, "__init__", counting_init)
+        solve(random_instance(60, 1))
+        # only tour_result's: the trace's seed and the tour itself
+        assert len(built) == 2
+
+
 class TestExtendFrontier:
     def test_k5_single_round(self, k5):
         f = extend_frontier(k5, seed_frontier(k5))
