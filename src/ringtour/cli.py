@@ -23,7 +23,13 @@ from pathlib import Path
 from statistics import median
 
 from .errors import DomainError, RingtourError
-from .graphs import CompleteInstance, InstanceSource, edge_id, load_instance
+from .graphs import (
+    RANDOM_MAX_N,
+    CompleteInstance,
+    InstanceSource,
+    edge_id,
+    load_instance,
+)
 from .hamilton import build_hamiltonian
 from .heuristic import op_count_estimate, parse_beam, solve
 from .isocycles import deletion_trace, maclane_f1, maclane_f2, pass_vectors, triangles
@@ -78,7 +84,8 @@ def _source_args(p: argparse.ArgumentParser) -> None:
         "--random",
         nargs="+",
         metavar="K=V",
-        help="random instance, e.g. --random n=8 seed=7 lo=1 hi=100",
+        help="random instance, e.g. --random n=8 seed=7 lo=1 hi=100 "
+        f"(n <= {RANDOM_MAX_N})",
     )
 
 
@@ -592,7 +599,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="timing table over random instances")
     _common_args(p)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
+    p.add_argument("--sizes", required=True,
+                   help=f"comma-separated sizes, each <= {RANDOM_MAX_N}")
     p.add_argument("--seeds", type=int, default=3, help="seeds per size")
     p.add_argument("--lo", type=int, default=1)
     p.add_argument("--hi", type=int, default=100)

@@ -30,6 +30,11 @@ from .errors import (
     ParseError,
 )
 
+# Largest order `random_instance` draws: a 32 MB weight matrix and a few
+# seconds of draws.  File sources need no cap, because their parsers count
+# the rows before they allocate.
+RANDOM_MAX_N = 2000
+
 
 def edge_id(i: int, j: int, n: int) -> int:
     """Canonical id of edge {i, j} in K_n (symmetric in i and j).
@@ -321,7 +326,11 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
 def random_instance(
     n: int, seed: int, weight_range: tuple[int, int] = (1, 100)
 ) -> CompleteInstance:
-    """Deterministic random instance: integer weights uniform in the range."""
+    """Deterministic random instance: integer weights uniform in the range.
+
+    Orders above :data:`RANDOM_MAX_N` are refused before anything is
+    allocated.
+    """
     lo, hi = weight_range
     if lo > hi:
         raise DomainError(f"invalid weight range [{lo}, {hi}]")
@@ -329,6 +338,10 @@ def random_instance(
         raise DomainError("weights must be non-negative")
     if n < 3:
         raise BadOrderError(f"instance needs at least 3 vertices, got {n}")
+    if n > RANDOM_MAX_N:
+        raise DomainError(
+            f"random instances are capped at n={RANDOM_MAX_N}, got n={n}"
+        )
     rng = random.Random(seed)
     w = np.zeros((n, n), dtype=np.float64)
     for i in range(n):

@@ -4,13 +4,19 @@ Two routes: full enumeration of the (n-1)!/2 undirected tours (n <= 10)
 and the bitmask subset dynamic program (n <= 20).  Both return the exact
 optimum; enumeration also counts how many distinct undirected tours attain
 it.  Sizes above the caps fail fast rather than attempt infeasible runs.
+
+The subset dynamic program reads only subsets one element smaller, so it
+runs one popcount layer at a time: for each subset size and end vertex, one
+gather, add and argmin over every subset of that size holding the vertex.
+Its table takes 2^(n-1)·(n-1)·8 bytes, 80 MB at the n = 20 cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
+from math import factorial
 
 import numpy as np
 
@@ -38,7 +44,11 @@ def _perm_rows(k: int) -> np.ndarray:
     Prepending vertex 0 turns each row into one undirected tour of K_{k+1},
     each counted exactly once, already in canonical orientation.
     """
-    rows = np.array(list(permutations(range(k))), dtype=np.int16)
+    rows = np.fromiter(
+        chain.from_iterable(permutations(range(k))),
+        dtype=np.int16,
+        count=k * factorial(k),
+    ).reshape(factorial(k), k)
     if k >= 2:
         rows = rows[rows[:, 0] < rows[:, -1]]
     return rows
@@ -70,6 +80,14 @@ def brute_force(inst: CompleteInstance) -> OracleResult:
 def held_karp(inst: CompleteInstance) -> OracleResult:
     """Subset DP over {v2..vn} with v1 fixed; O(n^2 2^n) time.
 
+    ``dp[S, j]`` is the cheapest path from v1 through the subset S ending
+    at j in S: the minimum over i of ``dp[S - {j}, i] + w(i, j)``, with the
+    first minimising i kept as ``parent[S, j]``.  Subsets are taken one
+    popcount layer at a time and, within a layer, one end vertex j at a
+    time, so each step is one gather, add and argmin over every subset of
+    that size holding j.  ``dp`` takes 2^(n-1)·(n-1)·8 bytes (80 MB at
+    n = 20).
+
     The optimal-tour count is taken from :func:`brute_force` when n <= 10
     and reported as unknown otherwise.
     """
@@ -87,16 +105,19 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
     for j in range(k):
         dp[1 << j, j] = w[0, j + 1]
 
-    for mask in range(1, full):
-        if mask.bit_count() < 2:
-            continue
-        members = [j for j in range(k) if mask >> j & 1]
-        prev_masks = [mask ^ (1 << j) for j in members]
-        gathered = dp[prev_masks]  # row t: costs ending anywhere in mask\{j_t}
-        cost = gathered + wsub[:, members].T
-        best_i = np.argmin(cost, axis=1)
-        dp[mask, members] = cost[np.arange(len(members)), best_i]
-        parent[mask, members] = best_i
+    masks = np.arange(full, dtype=np.int32)
+    sizes = np.zeros(full, dtype=np.int8)  # popcounts; np.bitwise_count needs numpy 2
+    for j in range(k):
+        sizes += (masks >> j) & 1
+    for size in range(2, k + 1):
+        layer = masks[sizes == size]
+        for j in range(k):
+            ms = layer[(layer >> j) & 1 == 1]
+            cost = dp[ms ^ (1 << j)]  # row t: costs ending anywhere in ms[t]\{j}
+            cost += wsub[:, j]
+            best = np.argmin(cost, axis=1)
+            dp[ms, j] = cost[np.arange(ms.size), best]
+            parent[ms, j] = best
 
     closing = dp[full - 1] + w[1:, 0]
     j = int(np.argmin(closing))

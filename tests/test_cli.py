@@ -8,6 +8,7 @@ import pytest
 
 from ringtour import cli
 from ringtour.cli import RunReport, main
+from ringtour.graphs import RANDOM_MAX_N
 
 K6_MATRIX_TEXT = """6
 0 6 4 8 7 14
@@ -326,6 +327,30 @@ class TestUsageAndErrors:
         assert out == ""
         assert err.startswith("ringtour: error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "gen", "bench"])
+    def test_random_size_cap(self, capsys, tmp_path, command):
+        too_big = RANDOM_MAX_N + 1
+        target = tmp_path / "inst.txt"
+        argv = {
+            "solve": ("solve", "--random", f"n={too_big}", "seed=1"),
+            "compare": ("compare", "--random", f"n={too_big}", "seed=1"),
+            "gen": ("gen", "--random", f"n={too_big}", "seed=1",
+                    "--out", str(target)),
+            "bench": ("bench", "--sizes", f"5,{too_big}", "--seeds", "1"),
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ringtour: error:")
+        assert f"capped at n={RANDOM_MAX_N}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not target.exists()
+
+    def test_random_help_names_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--help")
+        assert code == 0
+        assert f"n <= {RANDOM_MAX_N}" in out
 
     def test_out_is_directory(self, capsys, tmp_path):
         code, out, err = run_cli(

@@ -25,6 +25,7 @@ from ringtour import (
     parse_upper_text,
     random_instance,
 )
+from ringtour.graphs import RANDOM_MAX_N
 
 
 class TestEdgeNumbering:
@@ -246,6 +247,13 @@ class TestRandomInstance:
         a = random_instance(6, 1, (1, 100))
         b = random_instance(6, 2, (1, 100))
         assert not np.array_equal(a.weights, b.weights)
+
+    def test_size_cap(self):
+        with pytest.raises(DomainError, match=f"capped at n={RANDOM_MAX_N}"):
+            random_instance(RANDOM_MAX_N + 1, 1, (1, 100))
+        source = InstanceSource(kind="random", n=RANDOM_MAX_N + 1, seed=1)
+        with pytest.raises(DomainError, match=f"capped at n={RANDOM_MAX_N}"):
+            load_instance(source)
 
 
 class TestGeneralGraph:

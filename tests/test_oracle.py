@@ -12,11 +12,13 @@ import pytest
 from ringtour import (
     CompleteInstance,
     DomainError,
+    OracleResult,
     brute_force,
     held_karp,
     random_instance,
     solve,
 )
+from ringtour.oracle import BRUTE_FORCE_MAX_N, _canonical_tour, _perm_rows
 
 
 def enumerate_tours(inst):
@@ -32,6 +34,72 @@ def enumerate_tours(inst):
         )
         out.append((w, seq))
     return out
+
+
+def reference_held_karp(inst):
+    """Test-local oracle: the subset DP one mask at a time, in mask order."""
+    n = inst.n
+    w = inst.weights
+    k = n - 1
+    wsub = w[1:, 1:]
+    full = 1 << k
+    dp = np.full((full, k), np.inf)
+    parent = np.full((full, k), -1, dtype=np.int8)
+    for j in range(k):
+        dp[1 << j, j] = w[0, j + 1]
+
+    for mask in range(1, full):
+        if mask.bit_count() < 2:
+            continue
+        members = [j for j in range(k) if mask >> j & 1]
+        prev_masks = [mask ^ (1 << j) for j in members]
+        gathered = dp[prev_masks]  # row t: costs ending anywhere in mask\{j_t}
+        cost = gathered + wsub[:, members].T
+        best_i = np.argmin(cost, axis=1)
+        dp[mask, members] = cost[np.arange(len(members)), best_i]
+        parent[mask, members] = best_i
+
+    closing = dp[full - 1] + w[1:, 0]
+    j = int(np.argmin(closing))
+    optimum = float(closing[j])
+
+    path = []
+    mask = full - 1
+    while j >= 0:
+        path.append(j + 2)
+        pj = int(parent[mask, j])
+        mask ^= 1 << j
+        j = pj if mask else -1
+    path.reverse()
+    count = brute_force(inst).optimal_count if n <= BRUTE_FORCE_MAX_N else None
+    return OracleResult(
+        optimum=optimum,
+        tour=_canonical_tour((1, *path)),
+        optimal_count=count,
+        method="dp",
+    )
+
+
+def _sweep_instance(n, weights, seed):
+    if weights == "tenths":
+        return CompleteInstance(random_instance(n, seed, (1, 100)).weights / 10)
+    lo, hi = map(int, weights.split(".."))
+    return random_instance(n, seed, (lo, hi))
+
+
+# Narrow and uniform weights tie often, so the first-index argmin decides
+# the parent pointers; tenths sum inexactly, so the float sums must match.
+HK_REFERENCE_CASES = (
+    [
+        (n, weights, seed)
+        for n in range(3, 15)
+        for weights in ("1..100", "1..3", "1..2")
+        for seed in (1, 2)
+    ]
+    + [(n, "4..4", 1) for n in range(3, 15)]
+    + [(n, "tenths", seed) for n in (5, 8, 11, 14) for seed in (1, 2)]
+    + [(15, "1..3", 1), (16, "1..100", 1)]
+)
 
 
 class TestBruteForce:
@@ -75,6 +143,11 @@ class TestBruteForce:
     def test_size_caps(self):
         with pytest.raises(DomainError):
             brute_force(random_instance(11, 1, (1, 9)))
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_perm_rows_in_permutation_order(self, k):
+        rows = [p for p in permutations(range(k)) if p[0] < p[-1]]
+        assert _perm_rows(k).tolist() == [list(p) for p in rows]
 
 
 class TestHeldKarp:
@@ -126,6 +199,21 @@ class TestHeldKarp:
     def test_size_caps(self):
         with pytest.raises(DomainError):
             held_karp(random_instance(21, 1, (1, 9)))
+
+    @pytest.mark.parametrize("n,weights,seed", HK_REFERENCE_CASES)
+    def test_matches_reference(self, n, weights, seed):
+        inst = _sweep_instance(n, weights, seed)
+        assert held_karp(inst) == reference_held_karp(inst)
+
+    def test_at_the_cap(self):
+        inst = random_instance(20, 5, (1, 100))
+        res = held_karp(inst)
+        assert sorted(res.tour) == list(range(1, 21))
+        w = sum(
+            inst.weight(res.tour[i], res.tour[(i + 1) % 20]) for i in range(20)
+        )
+        assert w == res.optimum
+        assert res.optimal_count is None
 
 
 class TestHeuristicMeetsOptimum:
