@@ -561,7 +561,8 @@ def build_parser() -> _Parser:
     _source_args(p)
     _common_args(p)
     p.add_argument("--beam", default="all-ties",
-                   help="frontier width: positive integer or 'all-ties'")
+                   help="frontier width B: keep the B cheapest cycles per round "
+                   "plus cutoff ties; 'all-ties' (the default) is B = 1")
     p.add_argument("--trace", action="store_true",
                    help="record per-round frontiers in the report")
     p.set_defaults(handler=cmd_solve)

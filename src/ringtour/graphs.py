@@ -58,12 +58,9 @@ def edge_endpoints(eid: int, n: int) -> tuple[int, int]:
     m = n * (n - 1) // 2
     if not (1 <= eid <= m):
         raise DomainError(f"edge id {eid} out of range 1..{m} for n={n}")
-    # Row a covers ids (a-1)*n - a*(a+1)/2 + (a+1 .. n).
-    a = 1
-    cum = n - 1
-    while eid > cum:
-        a += 1
-        cum += n - a
+    # Rows after row a hold C(n-a, 2) ids, so the m - eid ids after eid
+    # satisfy C(n-a, 2) <= m - eid < C(n-a+1, 2).
+    a = n - (1 + math.isqrt(1 + 8 * (m - eid))) // 2
     b = eid - ((a - 1) * n - a * (a + 1) // 2)
     return a, b
 
@@ -75,7 +72,7 @@ class CompleteInstance:
     arguments are 1-based at every public method.
     """
 
-    __slots__ = ("n", "_w", "_pairs")
+    __slots__ = ("n", "_w")
 
     def __init__(self, weights: np.ndarray | Sequence[Sequence[float]]):
         w = np.array(weights, dtype=np.float64)
@@ -99,9 +96,6 @@ class CompleteInstance:
         w.setflags(write=False)
         self.n = n
         self._w = w
-        self._pairs = tuple(
-            (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-        )
 
     @property
     def m(self) -> int:
@@ -123,9 +117,7 @@ class CompleteInstance:
         return edge_id(i, j, self.n)
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        if not (1 <= eid <= self.m):
-            raise DomainError(f"edge id {eid} out of range 1..{self.m}")
-        return self._pairs[eid - 1]
+        return edge_endpoints(eid, self.n)
 
     def edge_weight(self, eid: int) -> float:
         a, b = self.endpoints(eid)

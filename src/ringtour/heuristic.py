@@ -11,12 +11,12 @@ apex between the two ends of one walk edge.
 :func:`~ringtour.hamilton.build_hamiltonian` grows its cycle with the
 same step.
 
-Beam policy: the default "all-ties" keeps every candidate tied at the
-round minimum, which is what reproduces the worked desk examples.  An
-integer beam width B keeps the B best candidates, with ties at the cutoff
-all kept.  Weight comparisons are exact; instances with integral weights
-(all file formats round or carry integers) make every sum exactly
-representable.
+Beam policy: a beam width B keeps the B cheapest candidates of each round
+plus every candidate tied at the cutoff.  The default "all-ties" is width
+1, which keeps exactly the candidates tied at the round minimum and
+reproduces the worked desk examples.  Weight comparisons are exact;
+instances with integral weights (all file formats round or carry
+integers) make every sum exactly representable.
 
 Seeding is an O(n^3) wedge scan: a 4-cycle a-x-c-y is the two 2-paths
 a-x-c and a-y-c across its diagonal (a, c), so the cheapest cycle on each
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from .tours import TourResult, TourTrace, TraceStep, cycle_vertex_sequence
 BeamSpec = int | str | None
 
 
-def parse_beam(beam: BeamSpec) -> int | None:
-    """Normalise a beam spec: None means keep all minimum-weight ties."""
-    if beam is None or beam == "all-ties":
-        return None
+def parse_beam(beam: BeamSpec) -> int:
+    """Normalise a beam spec to its width; None and "all-ties" are width 1."""
+    if beam in (None, "all-ties"):
+        return 1
     if isinstance(beam, str):
         if beam.isdigit() and int(beam) >= 1:
             return int(beam)
@@ -216,7 +216,7 @@ class Frontier:
 
     candidates: tuple[FrontierCandidate, ...]
     length: int
-    beam: int | None
+    beam: int
 
     @property
     def weight(self) -> float:
@@ -239,16 +239,19 @@ def _wedge_rows(w: np.ndarray, a: int, cs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _seed_scan(inst: CompleteInstance, width: int | None) -> list[FrontierCandidate]:
+def _seed_scan(inst: CompleteInstance, width: int) -> list[FrontierCandidate]:
     """Each quad's cheapest 4-cycles, as far as the beam rule can keep them.
 
     The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
     is c is the wedge sum W[c, x] + W[c, y] with x < y, so every 4-cycle is
     scanned once.  Pass 1 takes each diagonal's cheapest cycle from its
-    two cheapest wedges and sets a cut: the global minimum for "all-ties";
-    for a beam B the 3B-th cheapest diagonal, since those 3B cycles span at
-    least B quads and the beam cuts no higher.  Pass 2 lists every cycle
-    at or below the cut and keeps each quad's minimum.
+    two cheapest wedges and cuts at the k-th cheapest diagonal, k = 3B - 2
+    for beam B (no cut if there are fewer than k diagonals).  A quad
+    a < b < c < d has exactly three anchor diagonals (a, b), (a, c) and
+    (a, d), one per cycle, so k cycles on distinct diagonals lie on at
+    least ceil(k/3) = B quads, and the beam cuts no higher.  Beam 1 cuts at
+    the global minimum.  Pass 2 lists every cycle at or below the cut and
+    keeps each quad's minimum.
     """
     w = inst.weights
     n = inst.n
@@ -257,12 +260,8 @@ def _seed_scan(inst: CompleteInstance, width: int | None) -> list[FrontierCandid
         part = np.partition(_wedge_rows(w, a, np.arange(a + 1, n)), 1, axis=1)
         diag.append(part[:, 0] + part[:, 1])
     mins = np.concatenate(diag)
-    if width is None:
-        cut = mins.min()
-    elif 3 * width <= mins.size:
-        cut = np.partition(mins, 3 * width - 1)[3 * width - 1]
-    else:
-        cut = np.inf
+    k = 3 * width - 2
+    cut = np.partition(mins, k - 1)[k - 1] if k <= mins.size else np.inf
 
     hits = []
     for a, dmin in enumerate(diag):
@@ -294,18 +293,19 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
 
 
 def _apply_beam(
-    cands: list[FrontierCandidate], width: int | None
+    cands: list[FrontierCandidate], width: int
 ) -> tuple[FrontierCandidate, ...]:
     """Trim a sorted candidate list to the beam (cutoff ties kept)."""
     if not cands:
         raise AssertionError("empty candidate pool")
-    if width is None:
-        best = cands[0].weight
-        return tuple(c for c in cands if c.weight == best)
-    if len(cands) <= width:
-        return tuple(cands)
-    cut = cands[width - 1].weight
+    cut = cands[min(width, len(cands)) - 1].weight
     return tuple(c for c in cands if c.weight <= cut)
+
+
+def _weight_classes(blocks: list[tuple]) -> Iterator[np.float64]:
+    """Distinct child weights, cheapest first; the minimum needs no sort."""
+    yield min(vals.min() for _, _, vals in blocks)
+    yield from np.unique(np.concatenate([vals.ravel() for _, _, vals in blocks]))[1:]
 
 
 def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
@@ -314,8 +314,8 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     Each touching triangle is one walk edge (u, v) of a candidate paired
     with one uncovered apex; the new weight is
     candidate + (w(u,apex) + w(v,apex)) - w(u,v).  Weight classes are taken
-    cheapest first: "all-ties" stops after the first, an integer beam B
-    once at least B distinct cycles are in hand.  New cycles arising from
+    cheapest first until at least B distinct cycles are in hand for beam B,
+    so beam 1 ("all-ties") takes only the first.  New cycles arising from
     several decompositions (dubl-cycles) collapse to a single candidate;
     the surviving lineage is the first in scan order (class, then
     candidate).
@@ -334,19 +334,15 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         outs = np.flatnonzero(free)
         vals = cand.weight + ((w[u0][:, outs] + w[v0][:, outs]) - w[u0, v0][:, None])
         blocks.append((cand, outs, vals))
-    if frontier.beam is None:
-        classes = [min(vals.min() for _, _, vals in blocks)]
-    else:
-        classes = np.unique(np.concatenate([vals.ravel() for _, _, vals in blocks]))
 
     merged: dict[tuple[int, ...], FrontierCandidate] = {}
-    for cls in classes:
+    for cls in _weight_classes(blocks):
         weight = float(cls)
         for cand, outs, vals in blocks:
             for i, oi in np.argwhere(vals == cls):
                 child = grow(inst, cand, int(i), int(outs[oi]) + 1, weight)
                 merged.setdefault(child.ids, child)
-        if frontier.beam is None or len(merged) >= frontier.beam:
+        if len(merged) >= frontier.beam:
             break
 
     cands = sorted(merged.values(), key=FrontierCandidate.sort_key)
@@ -371,7 +367,7 @@ def solve(
     if n == 3:
         weight = inst.weight(1, 2) + inst.weight(1, 3) + inst.weight(2, 3)
         root = FrontierCandidate.root(inst, (1, 2, 3), weight)
-        frontier = Frontier(candidates=(root,), length=3, beam=None)
+        frontier = Frontier(candidates=(root,), length=3, beam=parse_beam(beam))
     else:
         frontier = seed_frontier(inst, beam)
     history = [frontier] if trace else None

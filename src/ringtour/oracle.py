@@ -68,7 +68,7 @@ def brute_force(inst: CompleteInstance) -> OracleResult:
         total = total + w[rows[:, k], rows[:, k + 1]]
     optimum = float(total.min())
     ties = np.nonzero(total == optimum)[0]
-    best = min(tuple(int(v) + 1 for v in rows[i]) for i in ties)
+    best = tuple(int(v) + 1 for v in rows[ties[0]])  # rows are in lexicographic order
     return OracleResult(
         optimum=optimum,
         tour=(1,) + best,
@@ -118,6 +118,7 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
             best = np.argmin(cost, axis=1)
             dp[ms, j] = cost[np.arange(ms.size), best]
             parent[ms, j] = best
+            del cost  # so the next gather does not coexist with this block
 
     closing = dp[full - 1] + w[1:, 0]
     j = int(np.argmin(closing))

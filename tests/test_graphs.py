@@ -60,6 +60,22 @@ class TestEdgeNumbering:
                 seen.add(eid)
         assert seen == set(range(1, n * (n - 1) // 2 + 1))
 
+    def test_round_trip_large_n(self):
+        # ids 1 and m, the first and last id of every row, and a sample
+        n = 2000
+        m = n * (n - 1) // 2
+        ids = {1, m}
+        for a in range(1, n):
+            ids.update((edge_id(a, a + 1, n), edge_id(a, n, n)))
+        ids.update(np.random.default_rng(0).integers(1, m + 1, 2000).tolist())
+        inst = CompleteInstance(np.zeros((n, n)))
+        for eid in sorted(ids):
+            a, b = edge_endpoints(eid, n)
+            assert 1 <= a < b <= n and edge_id(a, b, n) == eid
+            assert inst.endpoints(eid) == (a, b)
+        with pytest.raises(DomainError):
+            inst.endpoints(m + 1)
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             edge_id(0, 2, 5)

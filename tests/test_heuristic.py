@@ -19,6 +19,7 @@ from ringtour import (
     extend_frontier,
     is_touching,
     op_count_estimate,
+    parse_coords_text,
     quad_cycles,
     random_instance,
     ring_sum,
@@ -26,6 +27,7 @@ from ringtour import (
     solve,
     triangles,
 )
+from ringtour.heuristic import parse_beam
 
 
 def reference_extend(inst, frontier, triangle_set):
@@ -333,6 +335,17 @@ class TestExtendFrontier:
             fast = extend_frontier(inst, fast)
             assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_beam_wider_than_every_pool(self, n):
+        # every weight class is taken, so the class generator runs dry
+        inst = random_instance(n, n, (1, 20))
+        tri = triangles(inst)
+        fast = seed_frontier(inst, beam=10**6)
+        while fast.length < inst.n:
+            ref = reference_extend(inst, fast, tri)
+            fast = extend_frontier(inst, fast)
+            assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
+
     def test_reported_minimum_is_true_minimum(self, k6):
         # re-scan every (candidate x touching triangle) pair by brute force
         frontier = seed_frontier(k6)
@@ -388,6 +401,12 @@ class TestSolve:
         assert res.sequence == (1, 2, 3)
         assert res.weight == sum(inst.edge_weight(e) for e in range(1, 4))
 
+    def test_k3_bad_beam(self):
+        inst = random_instance(3, 8, (2, 9))
+        with pytest.raises(DomainError):
+            solve(inst, beam=0)
+        assert solve(inst, beam="4", trace=True).trace.frontier_history[0].beam == 4
+
     def test_trace_lineage_folds_to_answer(self, k6):
         res = solve(k6)
         acc = res.trace.seed
@@ -442,6 +461,46 @@ class TestSolve:
             cls = classify(res.edges, k6)
             assert cls.kind is CycleKind.SIMPLE_CYCLE
             assert cls.cycle.vertices == frozenset(range(1, 7))
+
+
+def lattice_instance(rows, cols):
+    coords = "".join(f"{x} {y}\n" for y in range(rows) for x in range(cols))
+    return parse_coords_text(f"{rows * cols}\n{coords}")
+
+
+class TestAllTiesIsBeamOne:
+    def test_parse_beam(self):
+        assert parse_beam(None) == parse_beam("all-ties") == 1
+
+    @staticmethod
+    def assert_same_solve(inst):
+        a = solve(inst, "all-ties", trace=True)
+        b = solve(inst, 1, trace=True)
+        assert a.sequence == b.sequence
+        assert a.edges.ids() == b.edges.ids()
+        assert a.weight == b.weight
+        assert a.trace.steps == b.trace.steps
+        history = zip(a.trace.frontier_history, b.trace.frontier_history, strict=True)
+        for fa, fb in history:
+            assert fa.beam == fb.beam == 1
+            assert [(c.weight, c.ids, c.order) for c in fa.candidates] == [
+                (c.weight, c.ids, c.order) for c in fb.candidates
+            ]
+
+    def test_k6(self, k6):
+        self.assert_same_solve(k6)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [random_instance(n, n, (1, 3)) for n in range(8, 13)]
+        + [random_instance(n, n, (4, 4)) for n in range(5, 9)]
+        + [lattice_instance(3, 4)],
+        ids=[f"1..3-n{n}" for n in range(8, 13)]
+        + [f"uniform-n{n}" for n in range(5, 9)]
+        + ["lattice-3x4"],
+    )
+    def test_tie_heavy(self, inst):
+        self.assert_same_solve(inst)
 
 
 class TestOpCounts:

@@ -125,6 +125,13 @@ class TestBruteForce:
             assert res.optimum == 3 * n
             assert res.optimal_count == math.factorial(n - 1) // 2
 
+    def test_uniform_weights_at_the_cap(self):
+        # every tour ties; the canonical one is the lexicographically smallest
+        n = BRUTE_FORCE_MAX_N
+        res = brute_force(random_instance(n, 1, (4, 4)))
+        assert res.tour == tuple(range(1, n + 1))
+        assert res.optimal_count == math.factorial(n - 1) // 2
+
     def test_tour_weight_matches_optimum(self):
         for seed in range(6):
             inst = random_instance(7, seed, (1, 99))
