@@ -94,6 +94,12 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output to a file")
 
 
+def _beam_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--beam", default="all-ties",
+                   help="frontier width B: keep the B cheapest cycles per round "
+                   "plus cutoff ties; 'all-ties' (the default) is B = 1")
+
+
 def _parse_random_spec(parser: argparse.ArgumentParser, tokens) -> dict:
     fields: dict[str, int] = {}
     for token in tokens:
@@ -560,9 +566,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the ring-sum TSP heuristic")
     _source_args(p)
     _common_args(p)
-    p.add_argument("--beam", default="all-ties",
-                   help="frontier width B: keep the B cheapest cycles per round "
-                   "plus cutoff ties; 'all-ties' (the default) is B = 1")
+    _beam_arg(p)
     p.add_argument("--trace", action="store_true",
                    help="record per-round frontiers in the report")
     p.set_defaults(handler=cmd_solve)
@@ -570,7 +574,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="heuristic vs exact oracle")
     _source_args(p)
     _common_args(p)
-    p.add_argument("--beam", default="all-ties")
+    _beam_arg(p)
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("gen", help="write a random instance to a file")
@@ -605,7 +609,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=3, help="seeds per size")
     p.add_argument("--lo", type=int, default=1)
     p.add_argument("--hi", type=int, default=100)
-    p.add_argument("--beam", default="all-ties")
+    _beam_arg(p)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes")
     p.set_defaults(handler=cmd_bench)

@@ -20,8 +20,13 @@ integers) make every sum exactly representable.
 
 Seeding is an O(n^3) wedge scan: a 4-cycle a-x-c-y is the two 2-paths
 a-x-c and a-y-c across its diagonal (a, c), so the cheapest cycle on each
-diagonal is the sum of its two cheapest wedges.  The extension scan is
-vectorised over numpy blocks.
+diagonal is the sum of its two cheapest wedges.
+
+An extension round is one table of insertion costs over the whole
+frontier, one row per (candidate, walk edge) and one column per free
+apex, as in cheapest insertion.  The hits of each weight class taken are
+keyed by the child's sorted edge ids straight from the table's indices,
+so duplicates merge before :func:`grow` builds only the kept children.
 """
 
 from __future__ import annotations
@@ -302,10 +307,16 @@ def _apply_beam(
     return tuple(c for c in cands if c.weight <= cut)
 
 
-def _weight_classes(blocks: list[tuple]) -> Iterator[np.float64]:
+def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
     """Distinct child weights, cheapest first; the minimum needs no sort."""
-    yield min(vals.min() for _, _, vals in blocks)
-    yield from np.unique(np.concatenate([vals.ravel() for _, _, vals in blocks]))[1:]
+    yield vals.min()
+    yield from np.unique(vals)[1:]
+
+
+def _edge_ids(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """:func:`~ringtour.graphs.edge_id` over arrays of 0-based endpoints."""
+    a = np.minimum(x, y).astype(np.int64)
+    return a * (2 * n - 3 - a) // 2 + np.maximum(x, y)
 
 
 def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
@@ -313,42 +324,65 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
 
     Each touching triangle is one walk edge (u, v) of a candidate paired
     with one uncovered apex; the new weight is
-    candidate + (w(u,apex) + w(v,apex)) - w(u,v).  Weight classes are taken
-    cheapest first until at least B distinct cycles are in hand for beam B,
-    so beam 1 ("all-ties") takes only the first.  New cycles arising from
-    several decompositions (dubl-cycles) collapse to a single candidate;
-    the surviving lineage is the first in scan order (class, then
-    candidate).
+    candidate + (w(u,apex) + w(v,apex)) - w(u,v).  A round is one table of
+    these insertion costs over the whole frontier, indexed by (candidate,
+    walk edge, apex), so its row-major order is the scan order.  Weight
+    classes are taken cheapest first until at least B distinct cycles are
+    in hand for beam B, so beam 1 ("all-ties") takes only the first.  The
+    hits of a class are keyed by the child's sorted edge ids, computed
+    from the table's indices: new cycles arising from several
+    decompositions (dubl-cycles) collapse to the first in scan order
+    (class, then candidate), and only those children are built with
+    :func:`grow`.
     """
     n = inst.n
-    if frontier.length >= n:
+    length = frontier.length
+    if length >= n:
         raise DomainError("frontier already spans all vertices")
 
     w = inst.weights
-    blocks = []
-    for cand in frontier.candidates:
-        walk = np.array(cand.order + cand.order[:1]) - 1
-        u0, v0 = walk[:-1], walk[1:]
-        free = np.ones(n, dtype=bool)
-        free[u0] = False
-        outs = np.flatnonzero(free)
-        vals = cand.weight + ((w[u0][:, outs] + w[v0][:, outs]) - w[u0, v0][:, None])
-        blocks.append((cand, outs, vals))
+    cands = frontier.candidates
+    size = len(cands)
+    # Each walk closed by its first vertex: columns k and k+1 are walk edge k.
+    walks = np.array([c.order + c.order[:1] for c in cands], dtype=np.int32) - 1
+    free = np.ones((size, n), dtype=bool)
+    free[np.arange(size)[:, None], walks] = False
+    outs = np.nonzero(free)[1].reshape(size, n - length)
+    vals = np.empty((size, length, n - length))
+    for walk, out, block in zip(walks, outs, vals):
+        ends = w[walk][:, out]
+        np.add(ends[:-1], ends[1:], out=block)
+    vals -= w[walks[:, :-1], walks[:, 1:]][:, :, None]
+    # Summed as cand.weight + ((w(u,o) + w(v,o)) - w(u,v)), so ties are exact.
+    vals += np.array([c.weight for c in cands])[:, None, None]
 
-    merged: dict[tuple[int, ...], FrontierCandidate] = {}
-    for cls in _weight_classes(blocks):
+    merged: dict[bytes, FrontierCandidate] = {}
+    for cls in _weight_classes(vals):
+        f, i, o = np.nonzero(vals == cls)
+        hits = np.arange(len(f))
+        parents = walks[f]
+        apex = outs[f, o]
+        # The child's edge ids: the parent's, with edge i replaced by one
+        # apex edge and the other appended; sorted, each row is its key, in
+        # the narrowest dtype that holds every id.
+        keys = np.empty((len(f), length + 1), dtype=np.min_scalar_type(inst.m))
+        keys[:, :-1] = _edge_ids(parents[:, :-1], parents[:, 1:], n)
+        keys[hits, i] = _edge_ids(parents[hits, i], apex, n)
+        keys[:, -1] = _edge_ids(parents[hits, i + 1], apex, n)
+        keys.sort(axis=1)
+        key_bytes = keys.view(np.dtype((np.void, keys.itemsize * (length + 1))))
         weight = float(cls)
-        for cand, outs, vals in blocks:
-            for i, oi in np.argwhere(vals == cls):
-                child = grow(inst, cand, int(i), int(outs[oi]) + 1, weight)
-                merged.setdefault(child.ids, child)
+        for h, key in enumerate(key_bytes.ravel().tolist()):
+            if key not in merged:
+                cand, edge, vertex = cands[f[h]], int(i[h]), int(apex[h]) + 1
+                merged[key] = grow(inst, cand, edge, vertex, weight)
         if len(merged) >= frontier.beam:
             break
 
-    cands = sorted(merged.values(), key=FrontierCandidate.sort_key)
+    children = sorted(merged.values(), key=FrontierCandidate.sort_key)
     return Frontier(
-        candidates=_apply_beam(cands, frontier.beam),
-        length=frontier.length + 1,
+        candidates=_apply_beam(children, frontier.beam),
+        length=length + 1,
         beam=frontier.beam,
     )
 

@@ -282,6 +282,14 @@ class TestUsageAndErrors:
                      "--beam", "--trace", "--format", "--out"):
             assert flag in out
 
+    @pytest.mark.parametrize("sub", ["solve", "compare", "bench"])
+    def test_beam_help(self, capsys, sub):
+        code, out, _ = run_cli(capsys, sub, "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "'all-ties' (the default) is B = 1" in text
+        assert "plus cutoff ties" in text
+
     def test_bad_random_spec(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--random", "n=5")
         assert code == 1

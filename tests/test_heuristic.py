@@ -27,6 +27,7 @@ from ringtour import (
     solve,
     triangles,
 )
+from ringtour import heuristic
 from ringtour.heuristic import parse_beam
 
 
@@ -183,26 +184,38 @@ class TestSeedFrontier:
         got = [(c.weight, c.edges.ids(), c.order) for c in seeds]
         assert got == reference_seeds(inst, beam)
 
-    @pytest.mark.parametrize("beam", [1, 2, 3, 4])
-    def test_beam_reaches_past_cheap_quads(self, beam):
-        # quads 1234 and 5678 hold the six cheapest cycles (6, 8, 10 each)
-        # on six diagonals, so the beam's third seed lies on another quad
+    @staticmethod
+    def assert_beam_reaches_past(quads, beam):
+        # each quad 4q+1..4q+4 holds cycles 6, 8 and 10 on its three anchor
+        # diagonals; every other cycle has two edges of weight >= 40
+        n = 4 * quads + 1
         rng = random.Random(beam)
-        w = np.zeros((9, 9))
-        for i in range(9):
-            for j in range(i + 1, 9):
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
                 w[i, j] = w[j, i] = rng.randint(40, 60)
-        for a in (1, 5):
+        for a in range(1, n - 1, 4):
             pattern = {(0, 1): 1, (2, 3): 1, (1, 2): 2, (0, 3): 2, (0, 2): 3, (1, 3): 3}
             for (u, v), weight in pattern.items():
                 w[a + u - 1, a + v - 1] = w[a + v - 1, a + u - 1] = weight
         inst = CompleteInstance(w)
-        assert quad_cycles(inst, (5, 6, 7, 8)).weights == (6, 8, 10)
+        assert quad_cycles(inst, (n - 4, n - 3, n - 2, n - 1)).weights == (6, 8, 10)
         seeds = seed_frontier(inst, beam).candidates
         assert [(c.weight, c.edges.ids(), c.order) for c in seeds] == reference_seeds(
             inst, beam
         )
         assert len({frozenset(c.order) for c in seeds}) >= beam
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4])
+    def test_beam_reaches_past_cheap_quads(self, beam):
+        # quads 1234 and 5678 hold the six cheapest cycles on six diagonals,
+        # so the beam's third seed lies on another quad
+        self.assert_beam_reaches_past(2, beam)
+
+    def test_beam_reaches_past_three_cheap_quads(self):
+        # three quads hold the nine cheapest diagonal minima, so a cut at the
+        # ninth diagonal, not the tenth, would miss beam 4's fourth quad
+        self.assert_beam_reaches_past(3, 4)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_decimal_weights_match_quad_cycles(self, seed):
@@ -222,6 +235,28 @@ class TestSeedFrontier:
             seed_frontier(k5, beam=0)
         with pytest.raises(DomainError):
             seed_frontier(k5, beam="few")
+
+
+def lattice_instance(rows, cols):
+    coords = "".join(f"{x} {y}\n" for y in range(rows) for x in range(cols))
+    return parse_coords_text(f"{rows * cols}\n{coords}")
+
+
+def tie_heavy_cases():
+    # beam 10**6 keeps every cycle, so it runs only where the rescan stays small
+    narrow, wide = (1, 2, 3), (1, 2, 3, 10**6)
+    cases = [("lattice-3x4", lattice_instance(3, 4), narrow)]
+    for n in (8, 9, 10):
+        beams = wide if n == 8 else narrow
+        cases.append((f"1..3-n{n}", random_instance(n, n, (1, 3)), beams))
+    for n in (5, 6, 7):
+        cases.append((f"uniform-n{n}", random_instance(n, n, (4, 4)), wide))
+    cases.append(("tenths-n7", decimal_instance(7, 7), wide))
+    return [
+        pytest.param(inst, beam, id=f"{label}-{beam}")
+        for label, inst, beams in cases
+        for beam in beams
+    ]
 
 
 def walk_edge_ids(inst, order):
@@ -346,6 +381,38 @@ class TestExtendFrontier:
             fast = extend_frontier(inst, fast)
             assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
 
+    @pytest.mark.parametrize("inst, beam", tie_heavy_cases())
+    def test_tie_heavy_rounds_match_reference(self, inst, beam):
+        # one table per round: every class, key and merge against the rescan
+        tri = triangles(inst)
+        fast = seed_frontier(inst, beam)
+        while fast.length < inst.n:
+            ref = reference_extend(inst, fast, tri)
+            fast = extend_frontier(inst, fast)
+            assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
+
+    def test_grows_only_the_kept_children(self, monkeypatch):
+        # duplicates are merged on their keys before any child is built
+        grown, rounds = [], []
+        real_grow, real_extend = heuristic.grow, heuristic.extend_frontier
+
+        def counting_grow(*args):
+            grown.append(args)
+            return real_grow(*args)
+
+        def counting_extend(inst, frontier):
+            grown.clear()
+            nxt = real_extend(inst, frontier)
+            rounds.append((len(grown), len(nxt.candidates)))
+            return nxt
+
+        monkeypatch.setattr(heuristic, "grow", counting_grow)
+        monkeypatch.setattr(heuristic, "extend_frontier", counting_extend)
+        inst = lattice_instance(3, 4)
+        solve(inst, 1)
+        assert len(rounds) == inst.n - 4
+        assert all(calls == kept for calls, kept in rounds)
+
     def test_reported_minimum_is_true_minimum(self, k6):
         # re-scan every (candidate x touching triangle) pair by brute force
         frontier = seed_frontier(k6)
@@ -461,11 +528,6 @@ class TestSolve:
             cls = classify(res.edges, k6)
             assert cls.kind is CycleKind.SIMPLE_CYCLE
             assert cls.cycle.vertices == frozenset(range(1, 7))
-
-
-def lattice_instance(rows, cols):
-    coords = "".join(f"{x} {y}\n" for y in range(rows) for x in range(cols))
-    return parse_coords_text(f"{rows * cols}\n{coords}")
 
 
 class TestAllTiesIsBeamOne:
