@@ -81,5 +81,6 @@ def build_hamiltonian(
         weight = cand.weight + (
             inst.weight(u, apex) + inst.weight(v, apex) - inst.weight(u, v)
         )
-        cand = grow(inst, cand, i, apex, weight)
+        swap = (inst.edge_id(u, v), inst.edge_id(u, apex), inst.edge_id(v, apex))
+        cand = grow(cand, i, apex, weight, swap)
     return tour_result(inst, cand)

@@ -24,9 +24,14 @@ diagonal is the sum of its two cheapest wedges.
 
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
-apex, as in cheapest insertion.  The hits of each weight class taken are
-keyed by the child's sorted edge ids straight from the table's indices,
-so duplicates merge before :func:`grow` builds only the kept children.
+apex, as in cheapest insertion, filled by one gather per block of
+candidates.  The hits of each weight class taken are keyed by the child's
+sorted edge ids straight from the table's indices, and duplicates merge
+on those keys before :func:`grow` builds only the kept children.  Past
+reading each candidate's walk and weight, a round's Python work is one
+short step per kept child.  Trace steps are not stored on the
+candidates: :func:`tour_result` reads them back off the winning lineage's
+walks.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,8 +116,9 @@ class FrontierCandidate:
 
     ``ids``, the walk's sorted edge ids, merges duplicates and breaks weight
     ties; ``edges`` rebuilds the edge set in the ``m`` edges of K_n.
-    ``step`` is the triangle summed into ``parent`` to make this cycle; a
-    root has no parent, and its step, if any, is the triangle it starts as.
+    Only a root carries a ``step``, the triangle it starts as, if any; the
+    step that made a grown cycle from its ``parent`` is read off the two
+    walks by :func:`tour_result`.
     """
 
     order: tuple[int, ...]
@@ -156,38 +162,54 @@ class FrontierCandidate:
 
 
 def grow(
-    inst: CompleteInstance,
     cand: FrontierCandidate,
     i: int,
     apex: int,
     weight: float,
+    swap: Sequence[int],
 ) -> FrontierCandidate:
     """Ring-sum the triangle on walk edge (order[i], order[i+1]) and ``apex``.
 
     ``apex`` must lie off the cycle, so the triangle touches it and the sum
     is the simple cycle with ``apex`` inserted between the edge's two ends.
-    ``weight`` is the new cycle's weight, as the caller computed it.
+    ``weight`` is the new cycle's weight, and ``swap`` holds the ids of the
+    split edge and of the two apex edges, as the caller computed them.
+    Editing the parent's ids shares their int objects with the child.
     """
-    order = cand.order
-    u, v = order[i], order[(i + 1) % len(order)]
-    shared = inst.edge_id(u, v)
+    split, *apex_edges = swap
     ids = list(cand.ids)
-    ids.remove(shared)
-    ids += (inst.edge_id(u, apex), inst.edge_id(v, apex))
+    ids.remove(split)
+    ids += apex_edges
     ids.sort()
-    tri = tuple(sorted((u, v, apex)))
+    order = cand.order
     return FrontierCandidate(
         order=order[: i + 1] + (apex,) + order[i + 1 :],
         ids=tuple(ids),
         weight=weight,
         m=cand.m,
         parent=cand,
-        step=TraceStep(
-            triangle=tri,
-            triangle_id=triangle_index(inst.n, *tri),
-            shared_edge=shared,
-            weight=weight,
-        ),
+    )
+
+
+def _grown_step(
+    inst: CompleteInstance, parent: FrontierCandidate, child: FrontierCandidate
+) -> TraceStep:
+    """The triangle :func:`grow` summed into ``parent`` to make ``child``.
+
+    The child's walk is the parent's with the apex inserted after position
+    i, so the apex sits at the first position where the walks differ (the
+    end, if the apex closes the walk) and the walk edge it split is its two
+    neighbours in the child.
+    """
+    size = len(parent.order)
+    p = next((k for k in range(1, size) if parent.order[k] != child.order[k]), size)
+    u, apex, v = child.order[p - 1], child.order[p], child.order[(p + 1) % (size + 1)]
+    tri = tuple(sorted((u, v, apex)))
+    return TraceStep(
+        triangle=tri,
+        triangle_id=triangle_index(inst.n, *tri),
+        shared_edge=inst.edge_id(u, v),
+        weight=child.weight,
     )
 
 
@@ -196,16 +218,24 @@ def tour_result(
     cand: FrontierCandidate,
     history: list[Frontier] | None = None,
 ) -> TourResult:
-    """The tour ``cand`` spans, with its trace rebuilt from the parent chain."""
+    """The tour ``cand`` spans, with its trace rebuilt from the parent chain.
+
+    The trace's steps are the root's own step, if it has one, then one
+    step per :func:`grow` along the chain, each derived from the walks of
+    its parent and child.
+    """
     chain = [cand]
     while chain[-1].parent is not None:
         chain.append(chain[-1].parent)
-    root = chain[-1]
+    chain.reverse()
+    root = chain[0]
+    steps = [root.step] if root.step is not None else []
+    steps += (_grown_step(inst, a, b) for a, b in zip(chain, chain[1:]))
     trace = TourTrace(
         seed=root.edges,
         seed_vertices=root.order,
         seed_weight=root.weight,
-        steps=tuple(c.step for c in reversed(chain) if c.step is not None),
+        steps=tuple(steps),
         frontier_history=tuple(history) if history is not None else None,
     )
     edges = cand.edges
@@ -319,6 +349,43 @@ def _edge_ids(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return a * (2 * n - 3 - a) // 2 + np.maximum(x, y)
 
 
+# Cells of ``w`` one gather reads while filling a round's table.  A block
+# spans hundreds of short walks, and its index and value copies (0.5 MB
+# each) stay out of peak RSS; one gather over the whole frontier would copy
+# as many cells as the table holds, hundreds of MB at n = 400.
+_GATHER_CELLS = 2**16
+
+
+def _insertion_table(
+    inst: CompleteInstance, cands: tuple[FrontierCandidate, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A round's closed walks (F, L+1), free vertices (F, n-L) and table.
+
+    Walk columns k and k+1 are walk edge k (0-based); free vertices are
+    ascending.  Table entry (f, k, j) is cand.weight + ((w(u,o) + w(v,o)) -
+    w(u,v)) for walk edge k = (u, v) and free vertex j = o, summed in that
+    order so ties are exact.  Each block of candidates, at most
+    ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one gather.
+    """
+    n, size, length = inst.n, len(cands), len(cands[0].order)
+    w = inst.weights
+    walks = np.array([c.order + c.order[:1] for c in cands], dtype=np.int32) - 1
+    free = np.ones((size, n), dtype=bool)
+    free[np.arange(size)[:, None], walks] = False
+    outs = np.nonzero(free)[1].reshape(size, n - length)
+
+    vals = np.empty((size, length, n - length))
+    flat, rows = w.ravel(), walks.astype(np.intp) * n
+    step = max(1, _GATHER_CELLS // ((length + 1) * (n - length)))
+    for lo in range(0, size, step):
+        hi = lo + step
+        ends = flat[rows[lo:hi, :, None] + outs[lo:hi, None, :]]
+        np.add(ends[:, :-1], ends[:, 1:], out=vals[lo:hi])
+    vals -= w[walks[:, :-1], walks[:, 1:]][:, :, None]
+    vals += np.array([c.weight for c in cands])[:, None, None]
+    return walks, outs, vals
+
+
 def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     """Grow every candidate by one vertex and keep the cheapest results.
 
@@ -333,28 +400,19 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     from the table's indices: new cycles arising from several
     decompositions (dubl-cycles) collapse to the first in scan order
     (class, then candidate), and only those children are built with
-    :func:`grow`.
+    :func:`grow`, from the edge ids the keys were made of.
+
+    No beam trim follows: before the last class taken fewer than B cycles
+    were in hand, all cheaper than that class, so the B-th cheapest child
+    has the last class's weight and the cutoff keeps every child.
     """
     n = inst.n
     length = frontier.length
     if length >= n:
         raise DomainError("frontier already spans all vertices")
 
-    w = inst.weights
     cands = frontier.candidates
-    size = len(cands)
-    # Each walk closed by its first vertex: columns k and k+1 are walk edge k.
-    walks = np.array([c.order + c.order[:1] for c in cands], dtype=np.int32) - 1
-    free = np.ones((size, n), dtype=bool)
-    free[np.arange(size)[:, None], walks] = False
-    outs = np.nonzero(free)[1].reshape(size, n - length)
-    vals = np.empty((size, length, n - length))
-    for walk, out, block in zip(walks, outs, vals):
-        ends = w[walk][:, out]
-        np.add(ends[:-1], ends[1:], out=block)
-    vals -= w[walks[:, :-1], walks[:, 1:]][:, :, None]
-    # Summed as cand.weight + ((w(u,o) + w(v,o)) - w(u,v)), so ties are exact.
-    vals += np.array([c.weight for c in cands])[:, None, None]
+    walks, outs, vals = _insertion_table(inst, cands)
 
     merged: dict[bytes, FrontierCandidate] = {}
     for cls in _weight_classes(vals):
@@ -367,24 +425,30 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         # the narrowest dtype that holds every id.
         keys = np.empty((len(f), length + 1), dtype=np.min_scalar_type(inst.m))
         keys[:, :-1] = _edge_ids(parents[:, :-1], parents[:, 1:], n)
-        keys[hits, i] = _edge_ids(parents[hits, i], apex, n)
-        keys[:, -1] = _edge_ids(parents[hits, i + 1], apex, n)
+        split = keys[hits, i]
+        near = _edge_ids(parents[hits, i], apex, n)
+        far = _edge_ids(parents[hits, i + 1], apex, n)
+        keys[hits, i] = near
+        keys[:, -1] = far
         keys.sort(axis=1)
         key_bytes = keys.view(np.dtype((np.void, keys.itemsize * (length + 1))))
+        # Each distinct key's first hit, in C: filled in reverse, the first
+        # hit is the last write.
+        backwards = reversed(key_bytes.ravel().tolist())
+        firsts = dict(zip(backwards, range(len(f) - 1, -1, -1)))
+        rows = np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts))
+        # Per first hit: candidate, walk edge, apex, then the ids of the
+        # split edge and of the two apex edges that replace it.
+        cols = np.stack([a[rows] for a in (f, i, apex + 1, split, near, far)], axis=1)
         weight = float(cls)
-        for h, key in enumerate(key_bytes.ravel().tolist()):
+        for key, (h, edge, vertex, *swap) in zip(firsts, cols.tolist()):
             if key not in merged:
-                cand, edge, vertex = cands[f[h]], int(i[h]), int(apex[h]) + 1
-                merged[key] = grow(inst, cand, edge, vertex, weight)
+                merged[key] = grow(cands[h], edge, vertex, weight, swap)
         if len(merged) >= frontier.beam:
             break
 
     children = sorted(merged.values(), key=FrontierCandidate.sort_key)
-    return Frontier(
-        candidates=_apply_beam(children, frontier.beam),
-        length=length + 1,
-        beam=frontier.beam,
-    )
+    return Frontier(candidates=tuple(children), length=length + 1, beam=frontier.beam)
 
 
 def solve(

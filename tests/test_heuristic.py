@@ -15,6 +15,7 @@ from ringtour import (
     DomainError,
     EdgeSet,
     brute_force,
+    build_hamiltonian,
     classify,
     extend_frontier,
     is_touching,
@@ -25,10 +26,11 @@ from ringtour import (
     ring_sum,
     seed_frontier,
     solve,
+    triangle_index,
     triangles,
 )
 from ringtour import heuristic
-from ringtour.heuristic import parse_beam
+from ringtour.heuristic import Frontier, FrontierCandidate, parse_beam
 
 
 def reference_extend(inst, frontier, triangle_set):
@@ -381,6 +383,20 @@ class TestExtendFrontier:
             fast = extend_frontier(inst, fast)
             assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
 
+    def test_last_class_overshoots_the_beam(self):
+        # cycle 1-2-3-4 in K6, every edge 10 but w(1,5) = w(2,5) = 1: apex 5
+        # on edge 1-2 costs -8 (one child), on 2-3 or 4-1 costs +1 (two)
+        w = np.full((6, 6), 10.0)
+        w[0, 4] = w[4, 0] = w[1, 4] = w[4, 1] = 1.0
+        np.fill_diagonal(w, 0.0)
+        inst = CompleteInstance(w)
+        root = FrontierCandidate.root(inst, (1, 2, 3, 4), 40.0)
+        frontier = Frontier(candidates=(root,), length=4, beam=2)
+        nxt = extend_frontier(inst, frontier)
+        got = [(c.weight, c.edges.ids()) for c in nxt.candidates]
+        assert [weight for weight, _ in got] == [32.0, 41.0, 41.0]
+        assert got == reference_extend(inst, frontier, triangles(inst))
+
     @pytest.mark.parametrize("inst, beam", tie_heavy_cases())
     def test_tie_heavy_rounds_match_reference(self, inst, beam):
         # one table per round: every class, key and merge against the rescan
@@ -427,6 +443,86 @@ class TestExtendFrontier:
                         best = w if best is None else min(best, w)
             frontier = extend_frontier(k6, frontier)
             assert frontier.weight == best
+
+
+def reference_table(inst, cands):
+    """Each candidate's insertion-cost block, one cell at a time."""
+    w = inst.weights
+    blocks = []
+    for c in cands:
+        walk = [v - 1 for v in c.order + c.order[:1]]
+        outs = [o for o in range(inst.n) if o + 1 not in c.order]
+        blocks.append(
+            [
+                [c.weight + ((w[u, o] + w[v, o]) - w[u, v]) for o in outs]
+                for u, v in zip(walk, walk[1:])
+            ]
+        )
+    return np.array(blocks)
+
+
+class TestInsertionTable:
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    def test_table_spans_gather_blocks(self, rounds):
+        # tenths make the sums order-sensitive; the wide beam keeps the
+        # frontier past one gather block of the table
+        inst = decimal_instance(80, 80)
+        frontier = seed_frontier(inst, beam=200)
+        for _ in range(rounds):
+            frontier = extend_frontier(inst, frontier)
+        cands, length = frontier.candidates, frontier.length
+        cells = len(cands) * (length + 1) * (inst.n - length)
+        assert cells > heuristic._GATHER_CELLS
+        walks, outs, vals = heuristic._insertion_table(inst, cands)
+        assert np.array_equal(walks[:, :-1] + 1, [c.order for c in cands])
+        assert vals.tobytes() == reference_table(inst, cands).tobytes()
+
+
+def triangle_edges(inst, triangle):
+    a, b, c = triangle
+    ids = (inst.edge_id(a, b), inst.edge_id(a, c), inst.edge_id(b, c))
+    return EdgeSet.of(ids, inst.m)
+
+
+def assert_trace_replays(inst, res):
+    """The trace's steps, ring-summed into its seed, rebuild the tour."""
+    steps = res.trace.steps
+    acc = res.trace.seed
+    if steps and steps[0].shared_edge == 0:
+        # build_hamiltonian's start triangle is its seed, not a sum into it
+        assert triangle_edges(inst, steps[0].triangle) == acc
+        steps = steps[1:]
+    for step in steps:
+        tri = triangle_edges(inst, step.triangle)
+        assert step.triangle_id == triangle_index(inst.n, *step.triangle)
+        assert step.shared_edge in tri and step.shared_edge in acc
+        acc = acc ^ tri
+    assert acc == res.edges
+    assert res.trace.steps[-1].weight == res.weight
+
+
+class TestTraceReplay:
+    @pytest.mark.parametrize("beam", ["all-ties", 2, 3])
+    @pytest.mark.parametrize(
+        "inst",
+        [lattice_instance(3, 4), lattice_instance(2, 5)]
+        + [random_instance(n, n, (1, 3)) for n in (9, 11)]
+        + [random_instance(8, 8, (4, 4)), decimal_instance(9, 9)]
+        + [random_instance(n, n, (1, 100)) for n in (5, 12, 20)],
+        ids=["lattice-3x4", "lattice-2x5", "1..3-n9", "1..3-n11", "uniform-n8"]
+        + ["tenths-n9", "random-n5", "random-n12", "random-n20"],
+    )
+    def test_solve(self, inst, beam):
+        assert_trace_replays(inst, solve(inst, beam))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    def test_build_hamiltonian(self, n):
+        inst = random_instance(n, n, (1, 50))
+        kc = n * (n - 1) * (n - 2) // 6
+        for start in sorted({1, (kc + 1) // 2, kc}):
+            res = build_hamiltonian(inst, start)
+            assert len(res.trace.steps) == n - 2
+            assert_trace_replays(inst, res)
 
 
 class TestSolve:
