@@ -14,7 +14,7 @@ import math
 from .edgesets import Cycle
 from .errors import DomainError
 from .graphs import CompleteInstance
-from .heuristic import FrontierCandidate, grow, tour_result
+from .heuristic import Lineage, tour_result
 from .isocycles import triangle_count, triangle_index
 from .tours import TourResult, TraceStep
 
@@ -60,27 +60,28 @@ def build_hamiltonian(
     Any uncovered vertex can be its apex, and a smaller apex always gives
     a smaller sorted triple, so the apex is the smallest uncovered vertex
     and the cycle edge is the one whose triple with it sorts first.
-    Exactly n-2 triangles are summed (the seed included) and the trace
-    records each one.
+    Exactly n-2 triangles are summed (the seed included).  Each sum is
+    recorded as the walk position its apex went in after, the same lineage
+    an extension round records, and :func:`~ringtour.heuristic.tour_result`
+    replays it into the tour and a trace step per triangle.
     """
     n = inst.n
     a, b, c = _triangle_by_index(n, 1 if start_triangle is None else start_triangle)
     w = inst.weight(a, b) + inst.weight(a, c) + inst.weight(b, c)
     step = TraceStep((a, b, c), triangle_index(n, a, b, c), shared_edge=0, weight=w)
-    cand = FrontierCandidate.root(inst, (a, b, c), w, step)
+    walk, weight, growths = [a, b, c], w, []
     for apex in range(1, n + 1):
         if apex in (a, b, c):
             continue
-        order = cand.order
-        size = len(order)
+        size = len(walk)
         i = min(
             range(size),
-            key=lambda k: sorted((order[k], order[(k + 1) % size], apex)),
+            key=lambda k: sorted((walk[k], walk[(k + 1) % size], apex)),
         )
-        u, v = order[i], order[(i + 1) % size]
-        weight = cand.weight + (
+        u, v = walk[i], walk[(i + 1) % size]
+        weight = weight + (
             inst.weight(u, apex) + inst.weight(v, apex) - inst.weight(u, v)
         )
-        swap = (inst.edge_id(u, v), inst.edge_id(u, apex), inst.edge_id(v, apex))
-        cand = grow(cand, i, apex, weight, swap)
-    return tour_result(inst, cand)
+        walk.insert(i + 1, apex)
+        growths.append((i, apex, weight))
+    return tour_result(inst, Lineage((a, b, c), w, tuple(growths)), start=step)

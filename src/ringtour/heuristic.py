@@ -5,11 +5,18 @@ length.  Seeding picks, over every 4-vertex subset, the cheapest of its
 three 4-cycles; each extension round ring-sums every touching triangle
 into every candidate (one shared cycle edge plus one uncovered apex) and
 keeps the cheapest results.  After n-4 rounds the frontier holds
-Hamiltonian cycles.  A candidate is a closed vertex walk plus its sorted
-edge ids, and summing in a touching triangle is :func:`grow`: insert the
-apex between the two ends of one walk edge.
-:func:`~ringtour.hamilton.build_hamiltonian` grows its cycle with the
-same step.
+Hamiltonian cycles.  Summing in a touching triangle inserts the apex
+between the two ends of one walk edge, as in cheapest insertion.
+
+A :class:`Frontier` is three arrays, one row per cycle: its closed vertex
+walk, its sorted edge ids (the key that merges duplicates and breaks
+weight ties) and its weight.  Each round also records its lineage, per
+row the parent row, the walk position the apex went in after, and the
+apex, and :func:`tour_result` replays the winning row's lineage into the
+tour and its trace steps.  :func:`~ringtour.hamilton.build_hamiltonian`
+records the same lineage and goes through the same replay.
+:class:`FrontierCandidate` objects are built only when a frontier's
+``candidates`` are read.
 
 Beam policy: a beam width B keeps the B cheapest candidates of each round
 plus every candidate tied at the cutoff.  The default "all-ties" is width
@@ -26,20 +33,19 @@ An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
 apex, as in cheapest insertion, filled by one gather per block of
 candidates.  The hits of each weight class taken are keyed by the child's
-sorted edge ids straight from the table's indices, and duplicates merge
-on those keys before :func:`grow` builds only the kept children.  Past
-reading each candidate's walk and weight, a round's Python work is one
-short step per kept child.  Trace steps are not stored on the
-candidates: :func:`tour_result` reads them back off the winning lineage's
-walks.
+sorted edge ids straight from the table's indices, duplicates merge on
+those keys, and one gather builds the kept children's walks.  A round
+builds no Python object per child.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,34 +118,26 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
 
 @dataclass(frozen=True)
 class FrontierCandidate:
-    """A simple cycle as a closed vertex walk, linked to the cycle it grew from.
+    """A simple cycle: its closed vertex walk, sorted edge ids and weight.
 
     ``ids``, the walk's sorted edge ids, merges duplicates and breaks weight
-    ties; ``edges`` rebuilds the edge set in the ``m`` edges of K_n.
-    Only a root carries a ``step``, the triangle it starts as, if any; the
-    step that made a grown cycle from its ``parent`` is read off the two
-    walks by :func:`tour_result`.
+    ties; ``edges`` rebuilds the edge set in the ``m`` edges of K_n.  A
+    :class:`Frontier` holds its cycles as arrays and builds these only when
+    its ``candidates`` are read.
     """
 
     order: tuple[int, ...]
     ids: tuple[int, ...]
     weight: float
     m: int
-    # Left out of == and repr, which would otherwise recurse down the chain.
-    parent: FrontierCandidate | None = field(default=None, compare=False, repr=False)
-    step: TraceStep | None = None
 
     @classmethod
     def root(
-        cls,
-        inst: CompleteInstance,
-        order: tuple[int, ...],
-        weight: float,
-        step: TraceStep | None = None,
+        cls, inst: CompleteInstance, order: tuple[int, ...], weight: float
     ) -> FrontierCandidate:
-        """A candidate with no parent, its key read off the walk ``order``."""
+        """A candidate with its key read off the walk ``order``."""
         ids = sorted(inst.edge_id(u, v) for u, v in zip(order, order[1:] + order[:1]))
-        return cls(order, tuple(ids), weight, inst.m, step=step)
+        return cls(order, tuple(ids), weight, inst.m)
 
     @property
     def edges(self) -> EdgeSet:
@@ -148,9 +146,6 @@ class FrontierCandidate:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self.order)
-
-    def sort_key(self) -> tuple:
-        return (self.weight, self.ids)
 
     def as_cycle(self) -> Cycle:
         return Cycle(
@@ -161,105 +156,158 @@ class FrontierCandidate:
         )
 
 
-def grow(
-    cand: FrontierCandidate,
-    i: int,
-    apex: int,
-    weight: float,
-    swap: Sequence[int],
-) -> FrontierCandidate:
-    """Ring-sum the triangle on walk edge (order[i], order[i+1]) and ``apex``.
+class Lineage(NamedTuple):
+    """How one cycle grew: its root walk and weight, then one growth per step.
 
-    ``apex`` must lie off the cycle, so the triangle touches it and the sum
-    is the simple cycle with ``apex`` inserted between the edge's two ends.
-    ``weight`` is the new cycle's weight, and ``swap`` holds the ids of the
-    split edge and of the two apex edges, as the caller computed them.
-    Editing the parent's ids shares their int objects with the child.
+    Each growth is (i, apex, weight): ``apex`` went in after walk position
+    i, splitting walk edge (walk[i], walk[i+1]), and the cycle weighs
+    ``weight`` after it.
     """
-    split, *apex_edges = swap
-    ids = list(cand.ids)
-    ids.remove(split)
-    ids += apex_edges
-    ids.sort()
-    order = cand.order
-    return FrontierCandidate(
-        order=order[: i + 1] + (apex,) + order[i + 1 :],
-        ids=tuple(ids),
-        weight=weight,
-        m=cand.m,
-        parent=cand,
-    )
+
+    walk: tuple[int, ...]
+    weight: float
+    growths: tuple[tuple[int, int, float], ...]
 
 
-def _grown_step(
-    inst: CompleteInstance, parent: FrontierCandidate, child: FrontierCandidate
-) -> TraceStep:
-    """The triangle :func:`grow` summed into ``parent`` to make ``child``.
+class Frontier:
+    """Equal-length simple cycles, sorted by (weight, edge ids), as arrays.
 
-    The child's walk is the parent's with the apex inserted after position
-    i, so the apex sits at the first position where the walks differ (the
-    end, if the apex closes the walk) and the walk edge it split is its two
-    neighbours in the child.
+    Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32),
+    ``keys[r]`` its sorted edge ids and ``weights[r]`` its weight.  A grown
+    frontier also keeps its lineage: the root frontier it grew from and,
+    per extension round, four arrays over that round's rows (parent row,
+    walk position the apex went in after, apex, weight), but no walks or
+    keys.
+
+    ``Frontier(candidates, length, beam)`` makes a root frontier out of
+    candidates already in frontier order.  ``candidates`` builds one
+    :class:`FrontierCandidate` per row when first indexed or iterated;
+    its ``len`` builds none.
     """
-    size = len(parent.order)
-    p = next((k for k in range(1, size) if parent.order[k] != child.order[k]), size)
-    u, apex, v = child.order[p - 1], child.order[p], child.order[(p + 1) % (size + 1)]
-    tri = tuple(sorted((u, v, apex)))
-    return TraceStep(
-        triangle=tri,
-        triangle_id=triangle_index(inst.n, *tri),
-        shared_edge=inst.edge_id(u, v),
-        weight=child.weight,
-    )
+
+    def __init__(
+        self, candidates: Sequence[FrontierCandidate], length: int, beam: int
+    ):
+        cands = tuple(candidates)
+        m = cands[0].m
+        self._set(
+            np.array([c.order for c in cands], dtype=np.int32),
+            np.array([c.ids for c in cands], dtype=np.min_scalar_type(m)),
+            np.array([c.weight for c in cands], dtype=np.float64),
+            beam,
+            m,
+        )
+        self.length = length
+        self._built = cands
+
+    @classmethod
+    def _of_rows(
+        cls,
+        walks: np.ndarray,
+        keys: np.ndarray,
+        weights: np.ndarray,
+        beam: int,
+        m: int,
+        root: Frontier | None = None,
+        rounds: tuple[tuple[np.ndarray, ...], ...] = (),
+    ) -> Frontier:
+        frontier = cls.__new__(cls)
+        frontier._set(walks, keys, weights, beam, m, root, rounds)
+        return frontier
+
+    def _set(self, walks, keys, weights, beam, m, root=None, rounds=()) -> None:
+        self.walks, self.keys, self.weights = walks, keys, weights
+        self.length = walks.shape[1]
+        self.beam, self.m = beam, m
+        self._root, self._rounds = root, rounds
+        self._built: tuple[FrontierCandidate, ...] | None = None
+
+    @property
+    def candidates(self) -> Sequence[FrontierCandidate]:
+        return _Candidates(self)
+
+    @property
+    def weight(self) -> float:
+        return float(self.weights[0])
+
+    @property
+    def edge_sets(self) -> tuple[EdgeSet, ...]:
+        return tuple(EdgeSet.of(ids, self.m) for ids in self.keys.tolist())
+
+    def lineage(self, row: int = 0) -> Lineage:
+        """Row ``row``'s growth from its root, read back round by round."""
+        growths = []
+        for rows, splits, apexes, weights in reversed(self._rounds):
+            growths.append((int(splits[row]), int(apexes[row]), float(weights[row])))
+            row = int(rows[row])
+        root = self._root or self
+        return Lineage(
+            tuple(root.walks[row].tolist()),
+            float(root.weights[row]),
+            tuple(reversed(growths)),
+        )
+
+
+class _Candidates(Sequence):
+    """A frontier's rows as candidates, all built on the first item read.
+
+    The built tuple is kept on the frontier, which holds no reference back,
+    so a frontier is freed as soon as the round after it is done with it.
+    """
+
+    def __init__(self, frontier: Frontier):
+        self._frontier = frontier
+
+    def __len__(self) -> int:
+        return len(self._frontier.weights)
+
+    def __getitem__(self, k):
+        f = self._frontier
+        if f._built is None:
+            rows = zip(f.walks.tolist(), f.keys.tolist(), f.weights.tolist())
+            f._built = tuple(
+                FrontierCandidate(tuple(walk), tuple(ids), weight, f.m)
+                for walk, ids, weight in rows
+            )
+        return f._built[k]
 
 
 def tour_result(
     inst: CompleteInstance,
-    cand: FrontierCandidate,
+    lineage: Lineage,
     history: list[Frontier] | None = None,
+    start: TraceStep | None = None,
 ) -> TourResult:
-    """The tour ``cand`` spans, with its trace rebuilt from the parent chain.
+    """The tour ``lineage`` grows, with its trace replayed growth by growth.
 
-    The trace's steps are the root's own step, if it has one, then one
-    step per :func:`grow` along the chain, each derived from the walks of
-    its parent and child.
+    The trace's steps are ``start``, if given, then one step per growth:
+    the triangle of the apex and the walk edge it split.
     """
-    chain = [cand]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
-    chain.reverse()
-    root = chain[0]
-    steps = [root.step] if root.step is not None else []
-    steps += (_grown_step(inst, a, b) for a, b in zip(chain, chain[1:]))
+    walk = list(lineage.walk)
+    steps = [] if start is None else [start]
+    weight = lineage.weight
+    for i, apex, weight in lineage.growths:
+        u, v = walk[i], walk[(i + 1) % len(walk)]
+        tri = tuple(sorted((u, v, apex)))
+        split = inst.edge_id(u, v)
+        steps.append(TraceStep(tri, triangle_index(inst.n, *tri), split, weight))
+        walk.insert(i + 1, apex)
     trace = TourTrace(
-        seed=root.edges,
-        seed_vertices=root.order,
-        seed_weight=root.weight,
+        seed=_walk_edges(inst, lineage.walk),
+        seed_vertices=lineage.walk,
+        seed_weight=lineage.weight,
         steps=tuple(steps),
         frontier_history=tuple(history) if history is not None else None,
     )
-    edges = cand.edges
+    edges = _walk_edges(inst, walk)
     seq = cycle_vertex_sequence(edges, inst.endpoints)
-    return TourResult(
-        sequence=seq, edges=edges, weight=cand.weight, trace=trace, n=inst.n
-    )
+    return TourResult(sequence=seq, edges=edges, weight=weight, trace=trace, n=inst.n)
 
 
-@dataclass(frozen=True)
-class Frontier:
-    """Equal-length candidate cycles, sorted by (weight, edge ids)."""
-
-    candidates: tuple[FrontierCandidate, ...]
-    length: int
-    beam: int
-
-    @property
-    def weight(self) -> float:
-        return self.candidates[0].weight
-
-    @property
-    def edge_sets(self) -> tuple[EdgeSet, ...]:
-        return tuple(c.edges for c in self.candidates)
+def _walk_edges(inst: CompleteInstance, walk: Sequence[int]) -> EdgeSet:
+    """The edge set of the closed walk ``walk``."""
+    ends = zip(walk, [*walk[1:], walk[0]])
+    return EdgeSet.of((inst.edge_id(u, v) for u, v in ends), inst.m)
 
 
 def _wedge_rows(w: np.ndarray, a: int, cs: np.ndarray) -> np.ndarray:
@@ -274,7 +322,9 @@ def _wedge_rows(w: np.ndarray, a: int, cs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _seed_scan(inst: CompleteInstance, width: int) -> list[FrontierCandidate]:
+def _seed_scan(
+    inst: CompleteInstance, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each quad's cheapest 4-cycles, as far as the beam rule can keep them.
 
     The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
@@ -286,7 +336,8 @@ def _seed_scan(inst: CompleteInstance, width: int) -> list[FrontierCandidate]:
     (a, d), one per cycle, so k cycles on distinct diagonals lie on at
     least ceil(k/3) = B quads, and the beam cuts no higher.  Beam 1 cuts at
     the global minimum.  Pass 2 lists every cycle at or below the cut and
-    keeps each quad's minimum.
+    keeps each quad's minimum.  Returns the kept cycles' walks (1-based),
+    sorted edge ids and weights, in scan order.
     """
     w = inst.weights
     n = inst.n
@@ -298,43 +349,46 @@ def _seed_scan(inst: CompleteInstance, width: int) -> list[FrontierCandidate]:
     k = 3 * width - 2
     cut = np.partition(mins, k - 1)[k - 1] if k <= mins.size else np.inf
 
-    hits = []
+    walks, weights = [], []
     for a, dmin in enumerate(diag):
         cs = a + 1 + np.flatnonzero(dmin <= cut)
+        if not cs.size:
+            continue
         for c, row in zip(cs, _wedge_rows(w, a, cs)):
             pair = row[:, None] + row[None, :]
-            keep = np.triu((pair <= cut) & np.isfinite(pair), k=1)
-            for x, y in np.argwhere(keep):
-                walk = (a + 1, a + 2 + int(x), int(c) + 1, a + 2 + int(y))
-                hits.append((float(pair[x, y]), walk))
-    best: dict[tuple[int, ...], float] = {}
-    for weight, walk in hits:
-        quad = tuple(sorted(walk))
-        best[quad] = min(weight, best.get(quad, weight))
-    return [
-        FrontierCandidate.root(inst, walk, weight)
-        for weight, walk in hits
-        if weight == best[tuple(sorted(walk))]
-    ]
+            x, y = np.nonzero(np.triu((pair <= cut) & np.isfinite(pair), k=1))
+            corners = (np.full_like(x, a), a + 1 + x, np.full_like(x, c), a + 1 + y)
+            walks.append(np.column_stack(corners))
+            weights.append(pair[x, y])
+    walks = np.concatenate(walks)
+    weights = np.concatenate(weights)
+    # One integer per quad: its sorted vertices as base-n digits.
+    quads = np.sort(walks, axis=1).astype(np.int64) @ n ** np.arange(3, -1, -1)
+    _, quad = np.unique(quads, return_inverse=True)
+    best = np.full(quad.max() + 1, np.inf)
+    np.minimum.at(best, quad, weights)
+    keep = weights == best[quad]
+    walks = walks[keep]
+    keys = _edge_id_table(n)[walks, np.roll(walks, -1, axis=1)]
+    keys.sort(axis=1)
+    return (walks + 1).astype(np.int32), keys, weights[keep]
 
 
 def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
-    """Frontier of length 4: cheapest 4-cycle per quad, then the beam rule."""
+    """Frontier of length 4: cheapest 4-cycle per quad, then the beam rule.
+
+    The beam keeps the ``beam`` cheapest cycles in (weight, edge ids)
+    order plus every cycle tied at the cutoff.
+    """
     if inst.n < 4:
         raise DomainError(f"seeding needs n >= 4, got n={inst.n}")
     width = parse_beam(beam)
-    cands = sorted(_seed_scan(inst, width), key=FrontierCandidate.sort_key)
-    return Frontier(candidates=_apply_beam(cands, width), length=4, beam=width)
-
-
-def _apply_beam(
-    cands: list[FrontierCandidate], width: int
-) -> tuple[FrontierCandidate, ...]:
-    """Trim a sorted candidate list to the beam (cutoff ties kept)."""
-    if not cands:
-        raise AssertionError("empty candidate pool")
-    cut = cands[min(width, len(cands)) - 1].weight
-    return tuple(c for c in cands if c.weight <= cut)
+    walks, keys, weights = _seed_scan(inst, width)
+    order = np.lexsort([*keys.T[::-1], weights])
+    ranked = weights[order]
+    cut = ranked[min(width, len(ranked)) - 1]
+    order = order[: np.searchsorted(ranked, cut, side="right")]
+    return Frontier._of_rows(walks[order], keys[order], weights[order], width, inst.m)
 
 
 def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
@@ -343,10 +397,21 @@ def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
     yield from np.unique(vals)[1:]
 
 
-def _edge_ids(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """:func:`~ringtour.graphs.edge_id` over arrays of 0-based endpoints."""
-    a = np.minimum(x, y).astype(np.int64)
-    return a * (2 * n - 3 - a) // 2 + np.maximum(x, y)
+@functools.lru_cache(maxsize=8)
+def _edge_id_table(n: int) -> np.ndarray:
+    """:func:`~ringtour.graphs.edge_id` of K_n over 0-based endpoints.
+
+    A read-only n x n matrix, 0 on the diagonal, in the narrowest unsigned
+    dtype that holds every id, so it is also the dtype of a frontier's keys.
+    """
+    ids = np.zeros((n, n), dtype=np.min_scalar_type(n * (n - 1) // 2))
+    first = 1
+    for a in range(n - 1):
+        # Row a's edges (a, b), b > a, hold the next n-1-a ids in order.
+        ids[a, a + 1 :] = ids[a + 1 :, a] = np.arange(first, first + n - 1 - a)
+        first += n - 1 - a
+    ids.setflags(write=False)
+    return ids
 
 
 # Cells of ``w`` one gather reads while filling a round's table.  A block
@@ -357,19 +422,23 @@ _GATHER_CELLS = 2**16
 
 
 def _insertion_table(
-    inst: CompleteInstance, cands: tuple[FrontierCandidate, ...]
+    inst: CompleteInstance, frontier: Frontier
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A round's closed walks (F, L+1), free vertices (F, n-L) and table.
 
-    Walk columns k and k+1 are walk edge k (0-based); free vertices are
-    ascending.  Table entry (f, k, j) is cand.weight + ((w(u,o) + w(v,o)) -
-    w(u,v)) for walk edge k = (u, v) and free vertex j = o, summed in that
-    order so ties are exact.  Each block of candidates, at most
-    ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one gather.
+    Walks are 0-based here, and columns k and k+1 are walk edge k; free
+    vertices are ascending.  Table entry (f, k, j) is weights[f] + ((w(u,o)
+    + w(v,o)) - w(u,v)) for walk edge k = (u, v) and free vertex j = o,
+    summed in that order so ties are exact.  Each block of candidates, at
+    most ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one
+    gather.
     """
-    n, size, length = inst.n, len(cands), len(cands[0].order)
+    n, (size, length) = inst.n, frontier.walks.shape
     w = inst.weights
-    walks = np.array([c.order + c.order[:1] for c in cands], dtype=np.int32) - 1
+    walks = np.empty((size, length + 1), dtype=np.int32)
+    walks[:, :-1] = frontier.walks
+    walks[:, -1] = frontier.walks[:, 0]
+    walks -= 1
     free = np.ones((size, n), dtype=bool)
     free[np.arange(size)[:, None], walks] = False
     outs = np.nonzero(free)[1].reshape(size, n - length)
@@ -382,7 +451,7 @@ def _insertion_table(
         ends = flat[rows[lo:hi, :, None] + outs[lo:hi, None, :]]
         np.add(ends[:, :-1], ends[:, 1:], out=vals[lo:hi])
     vals -= w[walks[:, :-1], walks[:, 1:]][:, :, None]
-    vals += np.array([c.weight for c in cands])[:, None, None]
+    vals += frontier.weights[:, None, None]
     return walks, outs, vals
 
 
@@ -399,8 +468,10 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     hits of a class are keyed by the child's sorted edge ids, computed
     from the table's indices: new cycles arising from several
     decompositions (dubl-cycles) collapse to the first in scan order
-    (class, then candidate), and only those children are built with
-    :func:`grow`, from the edge ids the keys were made of.
+    (class, then candidate), and a cycle an earlier class holds is not
+    kept again.  The kept children are in class order, then key order; one
+    gather builds their walks, each the parent's with its apex inserted,
+    and the round's lineage records (parent row, split position, apex).
 
     No beam trim follows: before the last class taken fewer than B cycles
     were in hand, all cheaper than that class, so the B-th cheapest child
@@ -411,44 +482,48 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     if length >= n:
         raise DomainError("frontier already spans all vertices")
 
-    cands = frontier.candidates
-    walks, outs, vals = _insertion_table(inst, cands)
-
-    merged: dict[bytes, FrontierCandidate] = {}
+    walks, outs, vals = _insertion_table(inst, frontier)
+    ids = _edge_id_table(n)
+    dtype = ids.dtype
+    walk_ids = ids[walks[:, :-1], walks[:, 1:]]
+    # Big-endian bytes of a sorted id row compare as the ids do, so one
+    # void item per row sorts and merges the rows as their keys.
+    row_bytes = np.dtype((np.void, dtype.itemsize * (length + 1)))
+    parts, held = [], None
     for cls in _weight_classes(vals):
         f, i, o = np.nonzero(vals == cls)
         hits = np.arange(len(f))
-        parents = walks[f]
         apex = outs[f, o]
-        # The child's edge ids: the parent's, with edge i replaced by one
-        # apex edge and the other appended; sorted, each row is its key, in
-        # the narrowest dtype that holds every id.
-        keys = np.empty((len(f), length + 1), dtype=np.min_scalar_type(inst.m))
-        keys[:, :-1] = _edge_ids(parents[:, :-1], parents[:, 1:], n)
-        split = keys[hits, i]
-        near = _edge_ids(parents[hits, i], apex, n)
-        far = _edge_ids(parents[hits, i + 1], apex, n)
-        keys[hits, i] = near
-        keys[:, -1] = far
+        # The child's edge ids: the parent's, with walk edge i replaced by
+        # one apex edge and the other appended; sorted, each row is its key.
+        keys = np.empty((len(f), length + 1), dtype=dtype)
+        keys[:, :-1] = walk_ids[f]
+        keys[hits, i] = ids[walks[f, i], apex]
+        keys[:, -1] = ids[walks[f, i + 1], apex]
         keys.sort(axis=1)
-        key_bytes = keys.view(np.dtype((np.void, keys.itemsize * (length + 1))))
-        # Each distinct key's first hit, in C: filled in reverse, the first
-        # hit is the last write.
-        backwards = reversed(key_bytes.ravel().tolist())
-        firsts = dict(zip(backwards, range(len(f) - 1, -1, -1)))
-        rows = np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts))
-        # Per first hit: candidate, walk edge, apex, then the ids of the
-        # split edge and of the two apex edges that replace it.
-        cols = np.stack([a[rows] for a in (f, i, apex + 1, split, near, far)], axis=1)
-        weight = float(cls)
-        for key, (h, edge, vertex, *swap) in zip(firsts, cols.tolist()):
-            if key not in merged:
-                merged[key] = grow(cands[h], edge, vertex, weight, swap)
-        if len(merged) >= frontier.beam:
+        # Each distinct key's first hit, in key order.
+        row_keys = keys.astype(dtype.newbyteorder(">")).view(row_bytes).ravel()
+        distinct, first = np.unique(row_keys, return_index=True)
+        if held is not None:  # a cycle an earlier, cheaper class holds stays there
+            fresh = ~np.isin(distinct, held)
+            distinct, first = distinct[fresh], first[fresh]
+            held = np.concatenate([held, distinct])
+        else:
+            held = distinct
+        weights = np.full(len(first), cls)
+        parts.append((f[first], i[first], apex[first] + 1, keys[first], weights))
+        if len(held) >= frontier.beam:
             break
 
-    children = sorted(merged.values(), key=FrontierCandidate.sort_key)
-    return Frontier(candidates=tuple(children), length=length + 1, beam=frontier.beam)
+    rows, splits, apexes, keys, weights = (np.concatenate(col) for col in zip(*parts))
+    pos = np.arange(length + 1)
+    children = frontier.walks[rows[:, None], pos - (pos > splits[:, None])]
+    children[np.arange(len(rows)), splits + 1] = apexes
+    rounds = frontier._rounds + ((rows, splits, apexes, weights),)
+    root = frontier._root or frontier
+    return Frontier._of_rows(
+        children, keys, weights, frontier.beam, frontier.m, root, rounds
+    )
 
 
 def solve(
@@ -473,7 +548,7 @@ def solve(
         frontier = extend_frontier(inst, frontier)
         if history is not None:
             history.append(frontier)
-    return tour_result(inst, frontier.candidates[0], history)
+    return tour_result(inst, frontier.lineage(), history)
 
 
 class OpCounts(NamedTuple):

@@ -96,6 +96,19 @@ def decimal_instance(n, seed):
     return CompleteInstance(w)
 
 
+def count_candidates(monkeypatch):
+    """A list that grows by one per FrontierCandidate built from now on."""
+    built = []
+    init = FrontierCandidate.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrontierCandidate, "__init__", counting_init)
+    return built
+
+
 class TestQuadCycles:
     def test_k4(self, k4):
         qt = quad_cycles(k4, (1, 2, 3, 4))
@@ -227,6 +240,16 @@ class TestSeedFrontier:
             for c in seed_frontier(inst, beam).candidates:
                 assert c.weight == min(quad_cycles(inst, c.order).weights)
 
+    def test_builds_no_candidate_per_listed_seed(self, monkeypatch):
+        # beam 400 has no diagonal cut at n = 40, so every quad minimum is
+        # listed; only the kept seeds become candidates, and only when read
+        built = count_candidates(monkeypatch)
+        frontier = seed_frontier(decimal_instance(40, 40), beam=400)
+        size = len(frontier.candidates)
+        assert size >= 400 and built == []
+        assert [c.weight for c in frontier.candidates] == frontier.weights.tolist()
+        assert len(built) == size
+
     def test_too_small(self):
         inst = random_instance(3, 1, (1, 9))
         with pytest.raises(DomainError):
@@ -287,6 +310,17 @@ class TestCandidateKey:
             if frontier.length == inst.n:
                 break
             frontier = extend_frontier(inst, frontier)
+
+    def test_two_byte_keys_keep_frontier_order(self):
+        # past 255 edges a key row is uint16, and its rows must still sort
+        # as id tuples, not as little-endian bytes
+        inst = lattice_instance(4, 6)
+        frontier = seed_frontier(inst)
+        assert frontier.keys.dtype == np.uint16
+        for _ in range(3):
+            frontier = extend_frontier(inst, frontier)
+            got = [(c.weight, c.ids) for c in frontier.candidates]
+            assert len(got) > 1 and got == sorted(got)
 
     def test_hot_loop_builds_no_edge_sets(self, monkeypatch):
         built = []
@@ -407,27 +441,18 @@ class TestExtendFrontier:
             fast = extend_frontier(inst, fast)
             assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
 
-    def test_grows_only_the_kept_children(self, monkeypatch):
-        # duplicates are merged on their keys before any child is built
-        grown, rounds = [], []
-        real_grow, real_extend = heuristic.grow, heuristic.extend_frontier
-
-        def counting_grow(*args):
-            grown.append(args)
-            return real_grow(*args)
-
-        def counting_extend(inst, frontier):
-            grown.clear()
-            nxt = real_extend(inst, frontier)
-            rounds.append((len(grown), len(nxt.candidates)))
-            return nxt
-
-        monkeypatch.setattr(heuristic, "grow", counting_grow)
-        monkeypatch.setattr(heuristic, "extend_frontier", counting_extend)
+    def test_builds_candidates_only_when_read(self, monkeypatch):
+        # a round keeps its children as arrays; solve builds no candidate
+        built = count_candidates(monkeypatch)
         inst = lattice_instance(3, 4)
         solve(inst, 1)
-        assert len(rounds) == inst.n - 4
-        assert all(calls == kept for calls, kept in rounds)
+        assert len(built) <= inst.n
+        built.clear()
+        frontier = seed_frontier(inst)
+        while frontier.length < inst.n:
+            frontier = extend_frontier(inst, frontier)
+            assert len(frontier.candidates) > 0
+        assert built == []
 
     def test_reported_minimum_is_true_minimum(self, k6):
         # re-scan every (candidate x touching triangle) pair by brute force
@@ -473,7 +498,7 @@ class TestInsertionTable:
         cands, length = frontier.candidates, frontier.length
         cells = len(cands) * (length + 1) * (inst.n - length)
         assert cells > heuristic._GATHER_CELLS
-        walks, outs, vals = heuristic._insertion_table(inst, cands)
+        walks, outs, vals = heuristic._insertion_table(inst, frontier)
         assert np.array_equal(walks[:, :-1] + 1, [c.order for c in cands])
         assert vals.tobytes() == reference_table(inst, cands).tobytes()
 
