@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from statistics import median
@@ -32,7 +30,7 @@ from .graphs import (
 )
 from .hamilton import build_hamiltonian
 from .heuristic import op_count_estimate, parse_beam, solve
-from .isocycles import deletion_trace, maclane_f1, maclane_f2, pass_vectors, triangles
+from .isocycles import deletion_trace, pass_vectors, triangles
 from .oracle import HELD_KARP_MAX_N, held_karp
 from .tours import TourResult
 
@@ -49,7 +47,7 @@ class RunReport:
     trace: list | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -353,14 +351,6 @@ def cmd_maclane(parser, args) -> RunReport:
     source = _source_from_args(parser, args)
     inst = load_instance(source)
     tri = triangles(inst)
-    pv = pass_vectors(tri)
-    results = {
-        "cycle_count": len(tri),
-        "p_e": list(pv.p_e),
-        "p_v": list(pv.p_v),
-        "f1": maclane_f1(tri),
-        "f2": maclane_f2(tri),
-    }
     trace = None
     if args.delete:
         try:
@@ -377,6 +367,16 @@ def cmd_maclane(parser, args) -> RunReport:
             }
             for i, (st, f2) in enumerate(states)
         ]
+        pv = states[0][0]
+    else:
+        pv = pass_vectors(tri)
+    results = {
+        "cycle_count": len(tri),
+        "p_e": list(pv.p_e),
+        "p_v": list(pv.p_v),
+        "f1": pv.f1,
+        "f2": pv.f2,
+    }
     return RunReport(
         command="maclane",
         instance={"n": inst.n, **source.describe()},
@@ -452,13 +452,12 @@ def _render_hamiltonian_text(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def _bench_one(task: tuple[int, int, int, int, str | None]) -> dict:
-    n, seed, lo, hi, beam = task
+def _bench_one(n: int, seed: int, args) -> dict:
     inst = load_instance(
-        InstanceSource(kind="random", n=n, seed=seed, lo=lo, hi=hi)
+        InstanceSource(kind="random", n=n, seed=seed, lo=args.lo, hi=args.hi)
     )
     t0 = time.perf_counter()
-    res = solve(inst, beam=beam)
+    res = solve(inst, beam=args.beam)
     ms = (time.perf_counter() - t0) * 1e3
     return {"n": n, "seed": seed, "millis": ms, "weight": res.weight}
 
@@ -483,20 +482,8 @@ def cmd_bench(parser, args) -> RunReport:
         parser.error("--sizes needs at least one size")
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
-    if args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
-    tasks = [
-        (n, seed, args.lo, args.hi, args.beam)
-        for n in sizes
-        for seed in range(1, args.seeds + 1)
-    ]
-    # The fork start method starts every worker up front, used or not.
-    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
+    seeds = range(1, args.seeds + 1)
+    rows = [_bench_one(n, seed, args) for n in sizes for seed in seeds]
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     medians = {
         n: median(r["millis"] for r in rows if r["n"] == n) for n in sorted(set(sizes))
@@ -513,7 +500,7 @@ def cmd_bench(parser, args) -> RunReport:
     return RunReport(
         command="bench",
         instance={"sizes": sizes, "seeds": args.seeds, "lo": args.lo, "hi": args.hi},
-        params={"beam": args.beam, "workers": args.workers, "format": args.format},
+        params={"beam": args.beam, "format": args.format},
         results={
             "rows": rows,
             "median_ms": {str(n): medians[n] for n in medians},
@@ -610,8 +597,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lo", type=int, default=1)
     p.add_argument("--hi", type=int, default=100)
     _beam_arg(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes")
     p.set_defaults(handler=cmd_bench)
 
     return parser

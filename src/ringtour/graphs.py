@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -328,6 +329,8 @@ def random_instance(
         raise DomainError(f"invalid weight range [{lo}, {hi}]")
     if lo < 0:
         raise DomainError("weights must be non-negative")
+    if hi > sys.float_info.max:
+        raise DomainError(f"weights must be at most {sys.float_info.max:g} (float64)")
     if n < 3:
         raise BadOrderError(f"instance needs at least 3 vertices, got {n}")
     if n > RANDOM_MAX_N:

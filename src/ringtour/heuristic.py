@@ -14,9 +14,10 @@ weight ties) and its weight.  Each round also records its lineage, per
 row the parent row, the walk position the apex went in after, and the
 apex, and :func:`tour_result` replays the winning row's lineage into the
 tour and its trace steps.  :func:`~ringtour.hamilton.build_hamiltonian`
-records the same lineage and goes through the same replay.
-:class:`FrontierCandidate` objects are built only when a frontier's
-``candidates`` are read.
+records the same lineage and goes through the same replay.  A cycle
+enters a frontier only as array rows, and leaves it as a
+:class:`FrontierCandidate` only when the frontier's ``candidates`` are
+read.
 
 Beam policy: a beam width B keeps the B cheapest candidates of each round
 plus every candidate tied at the cutoff.  The default "all-ties" is width
@@ -62,12 +63,9 @@ def parse_beam(beam: BeamSpec) -> int:
     """Normalise a beam spec to its width; None and "all-ties" are width 1."""
     if beam in (None, "all-ties"):
         return 1
-    if isinstance(beam, str):
-        if beam.isdigit() and int(beam) >= 1:
-            return int(beam)
-        raise DomainError(f"beam must be a positive integer or 'all-ties', got {beam!r}")
-    if isinstance(beam, int) and beam >= 1:
-        return beam
+    width = int(beam) if isinstance(beam, str) and beam.isdecimal() else beam
+    if isinstance(width, int) and width >= 1:
+        return width
     raise DomainError(f"beam must be a positive integer or 'all-ties', got {beam!r}")
 
 
@@ -104,15 +102,12 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
     if not (1 <= vs[0] and vs[3] <= inst.n):
         raise DomainError(f"vertex out of range for n={inst.n}: {vs}")
     a, b, c, d = vs
-    cands = [
-        FrontierCandidate.root(inst, walk, _wedge_weight(inst.weights, walk))
-        for walk in ((a, b, c, d), (a, b, d, c), (a, c, b, d))
-    ]
+    walks = ((a, b, c, d), (a, b, d, c), (a, c, b, d))
     return QuadCycleTriple(
         quad=vs,
-        cycles=tuple(cand.edges for cand in cands),
-        weights=tuple(cand.weight for cand in cands),
-        walks=tuple(cand.order for cand in cands),
+        cycles=tuple(_walk_edges(inst, walk) for walk in walks),
+        weights=tuple(_wedge_weight(inst.weights, walk) for walk in walks),
+        walks=walks,
     )
 
 
@@ -130,14 +125,6 @@ class FrontierCandidate:
     ids: tuple[int, ...]
     weight: float
     m: int
-
-    @classmethod
-    def root(
-        cls, inst: CompleteInstance, order: tuple[int, ...], weight: float
-    ) -> FrontierCandidate:
-        """A candidate with its key read off the walk ``order``."""
-        ids = sorted(inst.edge_id(u, v) for u, v in zip(order, order[1:] + order[:1]))
-        return cls(order, tuple(ids), weight, inst.m)
 
     @property
     def edges(self) -> EdgeSet:
@@ -173,49 +160,19 @@ class Frontier:
     """Equal-length simple cycles, sorted by (weight, edge ids), as arrays.
 
     Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32),
-    ``keys[r]`` its sorted edge ids and ``weights[r]`` its weight.  A grown
-    frontier also keeps its lineage: the root frontier it grew from and,
-    per extension round, four arrays over that round's rows (parent row,
-    walk position the apex went in after, apex, weight), but no walks or
-    keys.
+    ``keys[r]`` its sorted edge ids (in the dtype of
+    ``_edge_id_table``) and ``weights[r]`` its weight; the rows come in
+    frontier order.  A grown frontier also keeps its lineage: the ``root``
+    frontier it grew from and, per extension round, four arrays over that
+    round's rows (parent row, walk position the apex went in after, apex,
+    weight), but no walks or keys.
 
-    ``Frontier(candidates, length, beam)`` makes a root frontier out of
-    candidates already in frontier order.  ``candidates`` builds one
-    :class:`FrontierCandidate` per row when first indexed or iterated;
-    its ``len`` builds none.
+    The arrays are the only way in.  ``candidates`` builds one
+    :class:`FrontierCandidate` per row when first indexed or iterated; its
+    ``len`` builds none.
     """
 
-    def __init__(
-        self, candidates: Sequence[FrontierCandidate], length: int, beam: int
-    ):
-        cands = tuple(candidates)
-        m = cands[0].m
-        self._set(
-            np.array([c.order for c in cands], dtype=np.int32),
-            np.array([c.ids for c in cands], dtype=np.min_scalar_type(m)),
-            np.array([c.weight for c in cands], dtype=np.float64),
-            beam,
-            m,
-        )
-        self.length = length
-        self._built = cands
-
-    @classmethod
-    def _of_rows(
-        cls,
-        walks: np.ndarray,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        beam: int,
-        m: int,
-        root: Frontier | None = None,
-        rounds: tuple[tuple[np.ndarray, ...], ...] = (),
-    ) -> Frontier:
-        frontier = cls.__new__(cls)
-        frontier._set(walks, keys, weights, beam, m, root, rounds)
-        return frontier
-
-    def _set(self, walks, keys, weights, beam, m, root=None, rounds=()) -> None:
+    def __init__(self, walks, keys, weights, beam, m, root=None, rounds=()):
         self.walks, self.keys, self.weights = walks, keys, weights
         self.length = walks.shape[1]
         self.beam, self.m = beam, m
@@ -388,7 +345,7 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
     ranked = weights[order]
     cut = ranked[min(width, len(ranked)) - 1]
     order = order[: np.searchsorted(ranked, cut, side="right")]
-    return Frontier._of_rows(walks[order], keys[order], weights[order], width, inst.m)
+    return Frontier(walks[order], keys[order], weights[order], width, inst.m)
 
 
 def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
@@ -521,9 +478,7 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     children[np.arange(len(rows)), splits + 1] = apexes
     rounds = frontier._rounds + ((rows, splits, apexes, weights),)
     root = frontier._root or frontier
-    return Frontier._of_rows(
-        children, keys, weights, frontier.beam, frontier.m, root, rounds
-    )
+    return Frontier(children, keys, weights, frontier.beam, frontier.m, root, rounds)
 
 
 def solve(
@@ -538,9 +493,11 @@ def solve(
     """
     n = inst.n
     if n == 3:
+        # one row: the triangle walk 1-2-3, whose edges are e1, e2 and e3
+        tri = np.array([[1, 2, 3]], dtype=np.int32)
         weight = inst.weight(1, 2) + inst.weight(1, 3) + inst.weight(2, 3)
-        root = FrontierCandidate.root(inst, (1, 2, 3), weight)
-        frontier = Frontier(candidates=(root,), length=3, beam=parse_beam(beam))
+        width = parse_beam(beam)
+        frontier = Frontier(tri, tri.astype(np.uint8), np.array([weight]), width, 3)
     else:
         frontier = seed_frontier(inst, beam)
     history = [frontier] if trace else None

@@ -166,6 +166,19 @@ class PassVectors:
     def vertex_count(self, v: int) -> int:
         return self.p_v[v - 1]
 
+    @property
+    def f1(self) -> int:
+        """Quadratic MacLane functional over the live (p > 0) edges."""
+        # Zero-pass edges are excluded from both sums and from the edge count.
+        live = [p for p in self.p_e if p > 0]
+        return sum(p * p for p in live) - 3 * sum(live) + 2 * len(live)
+
+    @property
+    def f2(self) -> int:
+        """Cubic MacLane functional; zero for a planar-compatible cycle system."""
+        p_e = self.p_e
+        return sum(p**3 for p in p_e) - 3 * sum(p * p for p in p_e) + 2 * sum(p_e)
+
 
 def _as_cycles_and_graph(s, graph=None) -> tuple[Sequence[Cycle], object]:
     if isinstance(s, IsometricCycleSet):
@@ -188,24 +201,14 @@ def pass_vectors(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> PassVect
     return PassVectors(p_e=tuple(p_e), p_v=tuple(p_v))
 
 
-def _f1_from_counts(p_e: Sequence[int]) -> int:
-    # Zero-pass edges are excluded from both sums and from the edge count.
-    live = [p for p in p_e if p > 0]
-    return sum(p * p for p in live) - 3 * sum(live) + 2 * len(live)
-
-
-def _f2_from_counts(p_e: Sequence[int]) -> int:
-    return sum(p**3 for p in p_e) - 3 * sum(p * p for p in p_e) + 2 * sum(p_e)
-
-
 def maclane_f1(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> int:
     """Quadratic MacLane functional over the live (p > 0) edges."""
-    return _f1_from_counts(pass_vectors(s, graph).p_e)
+    return pass_vectors(s, graph).f1
 
 
 def maclane_f2(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> int:
     """Cubic MacLane functional; zero for a planar-compatible cycle system."""
-    return _f2_from_counts(pass_vectors(s, graph).p_e)
+    return pass_vectors(s, graph).f2
 
 
 def deletion_trace(
@@ -228,12 +231,13 @@ def deletion_trace(
     pv = pass_vectors(s)
     p_e = list(pv.p_e)
     p_v = list(pv.p_v)
-    out = [(pv, _f2_from_counts(p_e))]
+    out = [(pv, pv.f2)]
     for idx in order:
         c = s.cycles[idx - 1]
         for e in c.edges:
             p_e[e - 1] -= 1
         for v in c.vertices:
             p_v[v - 1] -= 1
-        out.append((PassVectors(tuple(p_e), tuple(p_v)), _f2_from_counts(p_e)))
+        pv = PassVectors(tuple(p_e), tuple(p_v))
+        out.append((pv, pv.f2))
     return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 import ringtour
 
 
@@ -24,6 +26,15 @@ def test_frontier_snapshot_is_gone():
     assert not hasattr(ringtour, "FrontierSnapshot")
     assert not hasattr(ringtour.tours, "FrontierSnapshot")
     assert not hasattr(ringtour.Frontier, "snapshot")
+
+
+def test_candidate_constructors_are_gone():
+    # a frontier is built only from its arrays
+    assert not hasattr(ringtour.FrontierCandidate, "root")
+    assert not hasattr(ringtour.Frontier, "_of_rows")
+    assert not hasattr(ringtour.Frontier, "_set")
+    with pytest.raises(TypeError):
+        ringtour.Frontier(candidates=(), length=3, beam=1)
 
 
 def test_frontier_history_holds_frontiers(k6):

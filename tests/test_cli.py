@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ringtour import cli
+from ringtour import cli, isocycles
 from ringtour.cli import RunReport, main
 from ringtour.graphs import RANDOM_MAX_N
 
@@ -212,6 +212,28 @@ class TestCyclesAndMacLane:
         assert payload["results"]["f2"] == 60
         assert [e["f2"] for e in payload["trace"][1:]] == [42, 24, 12, 6, 0]
 
+    @pytest.mark.parametrize("delete", [None, "1,6,8"])
+    def test_maclane_counts_pass_vectors_once(
+        self, capsys, monkeypatch, k6_file, delete
+    ):
+        calls = []
+        real = isocycles.pass_vectors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(isocycles, "pass_vectors", counting)
+        monkeypatch.setattr(cli, "pass_vectors", counting)
+        argv = ["maclane", "--matrix", str(k6_file), "--format", "json"]
+        if delete:
+            argv += ["--delete", delete]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
+        r = json.loads(out)["results"]
+        assert (r["f1"], r["f2"]) == (15 * 6, 15 * 24)  # p = 4 on all 15 edges
+
 
 class TestHamiltonianCommand:
     def test_trace_output(self, capsys, k6_file):
@@ -297,14 +319,22 @@ class TestUsageAndErrors:
         assert code == 1
 
     def test_bad_beam_is_usage_error(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "solve", "--random", "n=5", "seed=1", "--beam", "zero"
-        )
-        assert code == 1
-        code, _, _ = run_cli(
-            capsys, "solve", "--random", "n=5", "seed=1", "--beam", "0"
-        )
-        assert code == 1
+        # "²".isdigit() holds, but int() does not parse it
+        for beam in ("zero", "0", "²"):
+            code, out, err = run_cli(
+                capsys, "solve", "--random", "n=5", "seed=1", "--beam", beam
+            )
+            assert code == 1
+            assert out == ""
+            # the usage line, then one error line
+            assert err.splitlines()[1:] == [
+                "ringtour: error: beam must be a positive integer or 'all-ties', "
+                f"got {beam!r}"
+            ]
+        for argv in (("compare", "--random", "n=5", "seed=1"), ("bench", "--sizes", "5")):
+            code, _, err = run_cli(capsys, *argv, "--beam", "²")
+            assert code == 1
+            assert len(err.splitlines()) == 2 and "Traceback" not in err
 
     def test_bad_delete_list(self, capsys, k4_file):
         code, _, _ = run_cli(
@@ -316,7 +346,7 @@ class TestUsageAndErrors:
         code, _, _ = run_cli(capsys, "bench", "--sizes", "8,big")
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--seeds", "--workers"])
+    @pytest.mark.parametrize("flag", ["--seeds"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bench_counts_must_be_positive(self, capsys, flag, value):
         code, _, err = run_cli(capsys, "bench", "--sizes", "5", flag, value)
@@ -352,6 +382,24 @@ class TestUsageAndErrors:
         assert out == ""
         assert err.startswith("ringtour: error:")
         assert f"capped at n={RANDOM_MAX_N}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "gen", "bench"])
+    def test_random_weight_overflow(self, capsys, tmp_path, command):
+        hi = str(10**400)
+        target = tmp_path / "inst.txt"
+        argv = {
+            "solve": ("solve", "--random", "n=5", "seed=1", f"hi={hi}"),
+            "gen": ("gen", "--random", "n=5", "seed=1", f"hi={hi}",
+                    "--out", str(target)),
+            "bench": ("bench", "--sizes", "5", "--seeds", "1", "--hi", hi),
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ringtour: error:")
+        assert "float64" in err
         assert len(err.strip().splitlines()) == 1
         assert not target.exists()
 
@@ -401,58 +449,6 @@ class TestBenchCommand:
         assert code == 0
         assert out.splitlines()[0] == "n,seed,millis,weight"
         assert "# median n=6" in out
-
-    def test_bench_worker_pool_same_weights(self, capsys):
-        code, seq_out, _ = run_cli(
-            capsys, "bench", "--sizes", "6,8", "--seeds", "2", "--format", "json"
-        )
-        code2, par_out, _ = run_cli(
-            capsys, "bench", "--sizes", "6,8", "--seeds", "2",
-            "--workers", "2", "--format", "json",
-        )
-        assert code == code2 == 0
-        seq_rows = json.loads(seq_out)["results"]["rows"]
-        par_rows = json.loads(par_out)["results"]["rows"]
-        key = lambda r: (r["n"], r["seed"], r["weight"])
-        assert [key(r) for r in seq_rows] == [key(r) for r in par_rows]
-
-    @pytest.mark.parametrize(
-        "workers, seeds, cpus, started",
-        [
-            ("64", "3", 8, [3]),  # capped by the task count
-            ("64", "6", 4, [4]),  # capped by the cores
-            ("2", "6", 8, [2]),  # as asked
-            ("5", "1", 8, []),  # one task runs in-process
-            ("5", "6", None, []),  # unknown core count counts as one
-        ],
-    )
-    def test_bench_worker_pool_size(
-        self, capsys, monkeypatch, workers, seeds, cpus, started
-    ):
-        sizes = []
-
-        class StubPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        code, out, _ = run_cli(
-            capsys, "bench", "--sizes", "5", "--seeds", seeds,
-            "--workers", workers, "--format", "json",
-        )
-        assert code == 0
-        assert sizes == started
-        assert len(json.loads(out)["results"]["rows"]) == int(seeds)
 
 
 class TestRunReport:

@@ -264,6 +264,14 @@ class TestRandomInstance:
         b = random_instance(6, 2, (1, 100))
         assert not np.array_equal(a.weights, b.weights)
 
+    def test_weight_range_fits_float64(self):
+        with pytest.raises(DomainError, match="float64"):
+            random_instance(5, 1, (1, 10**400))
+        with pytest.raises(DomainError, match="float64"):
+            load_instance(InstanceSource(kind="random", n=5, seed=1, hi=2**1024))
+        # huge but finite weights still draw
+        assert random_instance(3, 1, (10**307, 10**307)).weight(1, 2) == 1e307
+
     def test_size_cap(self):
         with pytest.raises(DomainError, match=f"capped at n={RANDOM_MAX_N}"):
             random_instance(RANDOM_MAX_N + 1, 1, (1, 100))

@@ -260,6 +260,8 @@ class TestSeedFrontier:
             seed_frontier(k5, beam=0)
         with pytest.raises(DomainError):
             seed_frontier(k5, beam="few")
+        with pytest.raises(DomainError):  # a digit that int() does not parse
+            parse_beam("²")
 
 
 def lattice_instance(rows, cols):
@@ -424,8 +426,10 @@ class TestExtendFrontier:
         w[0, 4] = w[4, 0] = w[1, 4] = w[4, 1] = 1.0
         np.fill_diagonal(w, 0.0)
         inst = CompleteInstance(w)
-        root = FrontierCandidate.root(inst, (1, 2, 3, 4), 40.0)
-        frontier = Frontier(candidates=(root,), length=4, beam=2)
+        # walk 1-2-3-4 has edges e1, e3, e6 and e10 in K6
+        walk = np.array([[1, 2, 3, 4]], dtype=np.int32)
+        keys = np.array([[1, 3, 6, 10]], dtype=np.uint8)
+        frontier = Frontier(walk, keys, np.array([40.0]), beam=2, m=inst.m)
         nxt = extend_frontier(inst, frontier)
         got = [(c.weight, c.edges.ids()) for c in nxt.candidates]
         assert [weight for weight, _ in got] == [32.0, 41.0, 41.0]
@@ -585,9 +589,14 @@ class TestSolve:
 
     def test_k3(self):
         inst = random_instance(3, 8, (2, 9))
-        res = solve(inst)
+        res = solve(inst, trace=True)
         assert res.sequence == (1, 2, 3)
         assert res.weight == sum(inst.edge_weight(e) for e in range(1, 4))
+        # one root row: walk 1-2-3 on edges e1, e2, e3
+        (frontier,) = res.trace.frontier_history
+        assert [(c.order, c.ids, c.weight) for c in frontier.candidates] == [
+            ((1, 2, 3), (1, 2, 3), res.weight)
+        ]
 
     def test_k3_bad_beam(self):
         inst = random_instance(3, 8, (2, 9))
