@@ -319,16 +319,17 @@ def cmd_cycles(parser, args) -> RunReport:
     source = _source_from_args(parser, args)
     inst = load_instance(source)
     tri = triangles(inst)
-    rows = []
-    for k, cyc in enumerate(tri, start=1):
-        rows.append(
-            {
-                "id": k,
-                "edges": sorted(cyc.edges),
-                "vertices": sorted(cyc.vertices),
-                "weight": sum(inst.edge_weight(e) for e in cyc.edges),
-            }
+    edges, verts = tri.edges.reshape(-1, 3), tri.vertices.reshape(-1, 3)
+    a, b, c = (verts - 1).T
+    w = inst.weights
+    # Summed in edge-id order; + 0.0 turns an all -0.0 triangle into 0.0.
+    weights = ((w[a, b] + w[a, c]) + w[b, c]) + 0.0
+    rows = [
+        {"id": k, "edges": ids, "vertices": vs, "weight": wt}
+        for k, (ids, vs, wt) in enumerate(
+            zip(edges.tolist(), verts.tolist(), weights.tolist()), start=1
         )
+    ]
     return RunReport(
         command="cycles",
         instance={"n": inst.n, **source.describe()},

@@ -13,6 +13,7 @@ Vertices and edge ids are 1-based everywhere in the public API.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -64,6 +65,23 @@ def edge_endpoints(eid: int, n: int) -> tuple[int, int]:
     a = n - (1 + math.isqrt(1 + 8 * (m - eid))) // 2
     b = eid - ((a - 1) * n - a * (a + 1) // 2)
     return a, b
+
+
+@functools.lru_cache(maxsize=8)
+def edge_id_table(n: int) -> np.ndarray:
+    """:func:`edge_id` of K_n over 0-based endpoints.
+
+    A read-only n x n matrix, 0 on the diagonal, in the narrowest unsigned
+    dtype that holds every id; a frontier's keys take the same dtype.
+    """
+    ids = np.zeros((n, n), dtype=np.min_scalar_type(n * (n - 1) // 2))
+    first = 1
+    for a in range(n - 1):
+        # Row a's edges (a, b), b > a, hold the next n-1-a ids in order.
+        ids[a, a + 1 :] = ids[a + 1 :, a] = np.arange(first, first + n - 1 - a)
+        first += n - 1 - a
+    ids.setflags(write=False)
+    return ids
 
 
 class CompleteInstance:

@@ -41,7 +41,6 @@ builds no Python object per child.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -52,7 +51,7 @@ import numpy as np
 
 from .edgesets import Cycle, EdgeSet
 from .errors import DomainError
-from .graphs import CompleteInstance
+from .graphs import CompleteInstance, edge_id_table
 from .isocycles import triangle_count, triangle_index
 from .tours import TourResult, TourTrace, TraceStep, cycle_vertex_sequence
 
@@ -64,7 +63,8 @@ def parse_beam(beam: BeamSpec) -> int:
     if beam in (None, "all-ties"):
         return 1
     width = int(beam) if isinstance(beam, str) and beam.isdecimal() else beam
-    if isinstance(width, int) and width >= 1:
+    # bool is an int subclass, but True is not a width.
+    if isinstance(width, int) and not isinstance(width, bool) and width >= 1:
         return width
     raise DomainError(f"beam must be a positive integer or 'all-ties', got {beam!r}")
 
@@ -161,7 +161,7 @@ class Frontier:
 
     Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32),
     ``keys[r]`` its sorted edge ids (in the dtype of
-    ``_edge_id_table``) and ``weights[r]`` its weight; the rows come in
+    ``edge_id_table``) and ``weights[r]`` its weight; the rows come in
     frontier order.  A grown frontier also keeps its lineage: the ``root``
     frontier it grew from and, per extension round, four arrays over that
     round's rows (parent row, walk position the apex went in after, apex,
@@ -326,7 +326,7 @@ def _seed_scan(
     np.minimum.at(best, quad, weights)
     keep = weights == best[quad]
     walks = walks[keep]
-    keys = _edge_id_table(n)[walks, np.roll(walks, -1, axis=1)]
+    keys = edge_id_table(n)[walks, np.roll(walks, -1, axis=1)]
     keys.sort(axis=1)
     return (walks + 1).astype(np.int32), keys, weights[keep]
 
@@ -352,23 +352,6 @@ def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
     """Distinct child weights, cheapest first; the minimum needs no sort."""
     yield vals.min()
     yield from np.unique(vals)[1:]
-
-
-@functools.lru_cache(maxsize=8)
-def _edge_id_table(n: int) -> np.ndarray:
-    """:func:`~ringtour.graphs.edge_id` of K_n over 0-based endpoints.
-
-    A read-only n x n matrix, 0 on the diagonal, in the narrowest unsigned
-    dtype that holds every id, so it is also the dtype of a frontier's keys.
-    """
-    ids = np.zeros((n, n), dtype=np.min_scalar_type(n * (n - 1) // 2))
-    first = 1
-    for a in range(n - 1):
-        # Row a's edges (a, b), b > a, hold the next n-1-a ids in order.
-        ids[a, a + 1 :] = ids[a + 1 :, a] = np.arange(first, first + n - 1 - a)
-        first += n - 1 - a
-    ids.setflags(write=False)
-    return ids
 
 
 # Cells of ``w`` one gather reads while filling a round's table.  A block
@@ -440,7 +423,7 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         raise DomainError("frontier already spans all vertices")
 
     walks, outs, vals = _insertion_table(inst, frontier)
-    ids = _edge_id_table(n)
+    ids = edge_id_table(n)
     dtype = ids.dtype
     walk_ids = ids[walks[:, :-1], walks[:, 1:]]
     # Big-endian bytes of a sorted id row compare as the ids do, so one

@@ -5,18 +5,25 @@ in lexicographic vertex-triple order so that c1 = (v1,v2,v3), c2 =
 (v1,v2,v4), ...  For general simple graphs the enumeration checks the
 defining property directly: every pair of cycle vertices must realise its
 BFS distance along the cycle.
+
+Either way the result is an :class:`IsometricCycleSet`: flat arrays of edge
+ids and vertices cut into cycles by one offsets array.  Pass vectors and
+deletion traces count over those arrays with numpy, so neither builds a
+:class:`~ringtour.edgesets.Cycle`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .edgesets import Cycle, EdgeSet
 from .errors import DomainError
-from .graphs import CompleteInstance, GeneralGraph, edge_id
+from .graphs import CompleteInstance, GeneralGraph, edge_id_table
 
 
 def triangle_count(n: int) -> int:
@@ -26,55 +33,84 @@ def triangle_count(n: int) -> int:
 
 def triangle_index(n: int, a: int, b: int, c: int) -> int:
     """1-based rank of triangle (a<b<c) in lexicographic triple order."""
-    before = (
+    if not (1 <= a < b < c <= n):
+        raise DomainError(f"triangle ({a}, {b}, {c}) is not 1 <= a < b < c <= {n}")
+    return (
         math.comb(n, 3)
         - math.comb(n - a + 1, 3)
         + math.comb(n - a, 2)
         - math.comb(n - b + 1, 2)
         + (c - b)
     )
-    return before
 
 
-def _triangle_cycle(inst, a: int, b: int, c: int) -> Cycle:
-    edges = EdgeSet.of(
-        (inst.edge_id(a, b), inst.edge_id(a, c), inst.edge_id(b, c)), inst.m
-    )
-    return Cycle(
-        edges=edges,
-        vertices=frozenset((a, b, c)),
-        degree_profile=((a, 2), (b, 2), (c, 2)),
-        simple=True,
-    )
-
-
-@dataclass(frozen=True)
 class IsometricCycleSet:
-    """Deterministically ordered tuple of isometric cycles of one graph."""
+    """Deterministically ordered isometric cycles of one graph, as arrays.
 
-    cycles: tuple[Cycle, ...]
-    graph: CompleteInstance | GeneralGraph
+    Cycle k (1-based) is the slice ``offsets[k-1]:offsets[k]`` of both
+    ``edges`` (its edge ids, ascending) and ``vertices`` (its vertices,
+    ascending): a simple cycle has as many vertices as edges.  The three
+    arrays are read-only int64; ``offsets`` has one entry more than there
+    are cycles and starts at 0.
+
+    ``len`` reads ``offsets``.  ``cycles``, iteration and :meth:`cycle`
+    build one :class:`~ringtour.edgesets.Cycle` per cycle on first read
+    and keep them.
+    """
+
+    def __init__(
+        self, edges, vertices, offsets, graph: CompleteInstance | GeneralGraph
+    ):
+        self.edges, self.vertices, self.offsets = (
+            np.asarray(a, dtype=np.int64) for a in (edges, vertices, offsets)
+        )
+        for a in (self.edges, self.vertices, self.offsets):
+            a.setflags(write=False)
+        self.graph = graph
+        self._built: tuple[Cycle, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.cycles)
+        return len(self.offsets) - 1
+
+    @property
+    def cycles(self) -> tuple[Cycle, ...]:
+        if self._built is None:
+            m = self.graph.m
+            ids, verts = self.edges.tolist(), self.vertices.tolist()
+            cuts = self.offsets.tolist()
+            self._built = tuple(
+                Cycle(
+                    edges=EdgeSet.of(ids[lo:hi], m),
+                    vertices=frozenset(verts[lo:hi]),
+                    degree_profile=tuple((v, 2) for v in verts[lo:hi]),
+                    simple=True,
+                )
+                for lo, hi in zip(cuts, cuts[1:])
+            )
+        return self._built
 
     def __iter__(self):
         return iter(self.cycles)
 
     def cycle(self, k: int) -> Cycle:
         """1-based accessor matching the c_k naming used in reports."""
-        if not (1 <= k <= len(self.cycles)):
-            raise DomainError(f"cycle index {k} out of range 1..{len(self.cycles)}")
+        if not (1 <= k <= len(self)):
+            raise DomainError(f"cycle index {k} out of range 1..{len(self)}")
         return self.cycles[k - 1]
 
 
 def triangles(inst: CompleteInstance) -> IsometricCycleSet:
     """All C(n,3) triangles of a complete instance, lexicographic order."""
-    cyc = tuple(
-        _triangle_cycle(inst, a, b, c)
-        for a, b, c in combinations(range(1, inst.n + 1), 3)
+    v = np.arange(inst.n)
+    # C order of the a < b < c mask is lexicographic (a, b, c) order.
+    a, b, c = np.nonzero((v[:, None, None] < v[:, None]) & (v[:, None] < v))
+    ids = edge_id_table(inst.n)
+    return IsometricCycleSet(
+        edges=np.stack([ids[a, b], ids[a, c], ids[b, c]], axis=1).ravel(),
+        vertices=np.stack([a, b, c], axis=1).ravel() + 1,
+        offsets=np.arange(0, 3 * len(a) + 1, 3),
+        graph=inst,
     )
-    return IsometricCycleSet(cycles=cyc, graph=inst)
 
 
 def isometric_cycles(g: GeneralGraph) -> IsometricCycleSet:
@@ -138,19 +174,13 @@ def isometric_cycles(g: GeneralGraph) -> IsometricCycleSet:
     for root in range(1, g.n + 1):
         extend([root], {root})
 
-    cycles = []
-    for ids in sorted(found, key=lambda s: tuple(sorted(s))):
-        edges = EdgeSet.of(ids, g.m)
-        verts = frozenset(found[ids])
-        cycles.append(
-            Cycle(
-                edges=edges,
-                vertices=verts,
-                degree_profile=tuple((v, 2) for v in sorted(verts)),
-                simple=True,
-            )
-        )
-    return IsometricCycleSet(cycles=tuple(cycles), graph=g)
+    rows = sorted((sorted(ids), sorted(path)) for ids, path in found.items())
+    return IsometricCycleSet(
+        edges=[e for ids, _ in rows for e in ids],
+        vertices=[v for _, verts in rows for v in verts],
+        offsets=np.cumsum([0] + [len(ids) for ids, _ in rows]),
+        graph=g,
+    )
 
 
 @dataclass(frozen=True)
@@ -180,25 +210,23 @@ class PassVectors:
         return sum(p**3 for p in p_e) - 3 * sum(p * p for p in p_e) + 2 * sum(p_e)
 
 
-def _as_cycles_and_graph(s, graph=None) -> tuple[Sequence[Cycle], object]:
-    if isinstance(s, IsometricCycleSet):
-        return s.cycles, s.graph
-    if graph is None:
-        raise DomainError("a host graph is required for a bare cycle list")
-    return list(s), graph
-
-
 def pass_vectors(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> PassVectors:
     """Count, per edge and per vertex, how many cycles pass through it."""
-    cycles, g = _as_cycles_and_graph(s, graph)
-    p_e = [0] * g.m
-    p_v = [0] * g.n
-    for c in cycles:
-        for e in c.edges:
-            p_e[e - 1] += 1
-        for v in c.vertices:
-            p_v[v - 1] += 1
-    return PassVectors(p_e=tuple(p_e), p_v=tuple(p_v))
+    if isinstance(s, IsometricCycleSet):
+        edges, vertices, g = s.edges, s.vertices, s.graph
+    elif graph is None:
+        raise DomainError("a host graph is required for a bare cycle list")
+    else:
+        cycles, g = list(s), graph
+        edges = np.fromiter(chain.from_iterable(c.edges for c in cycles), np.int64)
+        vertices = np.fromiter(
+            chain.from_iterable(c.vertices for c in cycles), np.int64
+        )
+    p_e = np.bincount(edges, minlength=g.m + 1)
+    p_v = np.bincount(vertices, minlength=g.n + 1)
+    if len(p_e) > g.m + 1 or len(p_v) > g.n + 1:
+        raise DomainError("a cycle has an edge or vertex outside the host graph")
+    return PassVectors(p_e=tuple(p_e[1:].tolist()), p_v=tuple(p_v[1:].tolist()))
 
 
 def maclane_f1(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> int:
@@ -219,7 +247,7 @@ def deletion_trace(
     ``order`` holds distinct 1-based cycle indices.  The first entry is the
     full set's state; each subsequent entry follows one removal.
     """
-    k = len(s.cycles)
+    k = len(s)
     seen = set()
     for idx in order:
         if not (1 <= idx <= k):
@@ -229,15 +257,14 @@ def deletion_trace(
         seen.add(idx)
 
     pv = pass_vectors(s)
-    p_e = list(pv.p_e)
-    p_v = list(pv.p_v)
+    p_e = np.array(pv.p_e, dtype=np.int64)
+    p_v = np.array(pv.p_v, dtype=np.int64)
     out = [(pv, pv.f2)]
     for idx in order:
-        c = s.cycles[idx - 1]
-        for e in c.edges:
-            p_e[e - 1] -= 1
-        for v in c.vertices:
-            p_v[v - 1] -= 1
-        pv = PassVectors(tuple(p_e), tuple(p_v))
+        # A simple cycle lists each edge and vertex once, so no index repeats.
+        lo, hi = s.offsets[idx - 1], s.offsets[idx]
+        p_e[s.edges[lo:hi] - 1] -= 1
+        p_v[s.vertices[lo:hi] - 1] -= 1
+        pv = PassVectors(tuple(p_e.tolist()), tuple(p_v.tolist()))
         out.append((pv, pv.f2))
     return out

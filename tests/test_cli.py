@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from ringtour import cli, isocycles
 from ringtour.cli import RunReport, main
-from ringtour.graphs import RANDOM_MAX_N
+from ringtour.graphs import RANDOM_MAX_N, InstanceSource, edge_id, load_instance
 
 K6_MATRIX_TEXT = """6
 0 6 4 8 7 14
@@ -188,6 +190,38 @@ class TestCyclesAndMacLane:
         assert code == 0
         assert "c1 = {e1,e2,e6} <-> (v1,v2,v3) = 17" in out
         assert "c20 = {e13,e14,e15}" in out
+
+    @pytest.mark.parametrize("matrix", ["k6", "tenths"])
+    def test_cycles_json(self, capsys, k6_file, tmp_path, matrix):
+        path = k6_file
+        if matrix == "tenths":
+            # Tenths make the summation order show; triangle (5, 6, 7) is
+            # all -0, which sums to 0.0.
+            rng = random.Random(7)
+            w = [[0.0] * 7 for _ in range(7)]
+            for i, j in combinations(range(7), 2):
+                w[i][j] = w[j][i] = -0.0 if i >= 4 else rng.randint(1, 30) / 10
+            path = tmp_path / "tenths.txt"
+            path.write_text("7\n" + "".join(" ".join(map(str, r)) + "\n" for r in w))
+        code, out, _ = run_cli(capsys, "cycles", "--matrix", str(path), "--format", "json")
+        assert code == 0
+        inst = load_instance(InstanceSource("matrix", path=path))
+        n = inst.n
+        expected = []  # per triangle: weight summed from 0 in edge-id order
+        for k, (a, b, c) in enumerate(combinations(range(1, n + 1), 3), start=1):
+            ids = [edge_id(a, b, n), edge_id(a, c, n), edge_id(b, c, n)]
+            weight = 0
+            for e in ids:
+                weight += inst.edge_weight(e)
+            expected.append(
+                {"id": k, "edges": ids, "vertices": [a, b, c], "weight": weight}
+            )
+        results = json.loads(out)["results"]
+        assert results["count"] == len(expected)
+        # Dumped, so that 0.0 and -0.0 differ.
+        assert json.dumps(results["cycles"], sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
 
     def test_maclane_report(self, capsys, k6_file):
         code, out, _ = run_cli(

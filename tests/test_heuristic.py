@@ -262,6 +262,9 @@ class TestSeedFrontier:
             seed_frontier(k5, beam="few")
         with pytest.raises(DomainError):  # a digit that int() does not parse
             parse_beam("²")
+        for flag in (True, False):  # bool is an int, but not a width
+            with pytest.raises(DomainError):
+                seed_frontier(k5, beam=flag)
 
 
 def lattice_instance(rows, cols):

@@ -8,19 +8,60 @@ from itertools import combinations
 import pytest
 
 from ringtour import (
+    Cycle,
     DomainError,
     GeneralGraph,
+    build_hamiltonian,
     deletion_trace,
     isometric_cycles,
     maclane_f1,
     maclane_f2,
     pass_vectors,
     random_instance,
+    solve,
     triangle_count,
     triangle_index,
     triangles,
 )
+from ringtour import cli, hamilton, heuristic
+from ringtour.graphs import edge_id
 from tests.conftest import G1_ISOMETRIC
+
+
+def count_cycles(monkeypatch):
+    """A list that grows by one per Cycle built from now on."""
+    built = []
+    init = Cycle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cycle, "__init__", counting_init)
+    return built
+
+
+def reference_pass_vectors(cycles, graph):
+    """Per-cycle counting loop, as pass vectors were counted before arrays."""
+    p_e = [0] * graph.m
+    p_v = [0] * graph.n
+    for c in cycles:
+        for e in c.edges:
+            p_e[e - 1] += 1
+        for v in c.vertices:
+            p_v[v - 1] += 1
+    return tuple(p_e), tuple(p_v)
+
+
+def random_graph(n, seed, p=0.45):
+    rng = random.Random(seed)
+    edges = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < p
+    ]
+    return GeneralGraph(n, edges)
 
 
 class TestTriangles:
@@ -59,6 +100,61 @@ class TestTriangles:
             assert (a, b, c) == expected[k - 1]
             assert triangle_index(n, a, b, c) == k
 
+    @pytest.mark.parametrize(
+        "triple", [(3, 2, 1), (1, 3, 2), (1, 1, 2), (2, 2, 2), (0, 1, 2), (1, 2, 9)]
+    )
+    def test_index_refuses_bad_triples(self, triple):
+        with pytest.raises(DomainError):
+            triangle_index(5, *triple)
+
+    def test_tour_builders_pass_sorted_triples(self, monkeypatch, k6):
+        seen = []
+        real = triangle_index
+
+        def recording(n, a, b, c):
+            seen.append((n, a, b, c))
+            return real(n, a, b, c)
+
+        monkeypatch.setattr(heuristic, "triangle_index", recording)
+        monkeypatch.setattr(hamilton, "triangle_index", recording)
+        for inst in (k6, random_instance(9, 4, (1, 3))):
+            solve(inst, trace=True)
+            for k in range(1, triangle_count(inst.n) + 1):
+                build_hamiltonian(inst, k)
+        assert seen and all(1 <= a < b < c <= n for n, a, b, c in seen)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_arrays_match_combinations(self, n):
+        tri = triangles(random_instance(n, seed=n, weight_range=(1, 9)))
+        triples = list(combinations(range(1, n + 1), 3))
+        ids = [
+            (edge_id(a, b, n), edge_id(a, c, n), edge_id(b, c, n))
+            for a, b, c in triples
+        ]
+        assert tri.edges.tolist() == [e for row in ids for e in row]
+        assert tri.vertices.tolist() == [v for row in triples for v in row]
+        assert tri.offsets.tolist() == list(range(0, 3 * len(triples) + 1, 3))
+
+    def test_builds_no_cycle_until_read(self, monkeypatch):
+        built = count_cycles(monkeypatch)
+        tri = triangles(random_instance(12, 1, (1, 9)))
+        assert len(tri) == 220 and built == []
+        cycles = tri.cycles
+        assert len(built) == 220
+        assert tri.cycles is cycles and list(tri) == list(cycles)
+        assert tri.cycle(220) is cycles[-1]
+        assert len(built) == 220
+
+    @pytest.mark.parametrize("delete", [None, "1,6,8,100"])
+    def test_maclane_builds_no_cycle(self, monkeypatch, capsys, delete):
+        built = count_cycles(monkeypatch)
+        argv = ["maclane", "--random", "n=12", "seed=2", "--format", "json"]
+        if delete:
+            argv += ["--delete", delete]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert built == []
+
 
 class TestIsometricCycles:
     def test_g1_matches_listing(self, g1):
@@ -89,15 +185,8 @@ class TestIsometricCycles:
     @pytest.mark.parametrize("graph_seed", [3, 11, 28])
     def test_definition_check(self, graph_seed):
         # every returned cycle realises BFS distances along its arcs
-        rng = random.Random(graph_seed)
         n = 9
-        edges = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if rng.random() < 0.45
-        ]
-        g = GeneralGraph(n, edges)
+        g = random_graph(n, graph_seed)
         dist = g.distance_matrix()
         if any(dist[1][v] < 0 for v in range(2, n + 1)):
             pytest.skip("random graph came out disconnected")
@@ -149,6 +238,31 @@ class TestPassVectors:
         assert sum(pv.p_e) == sum(len(c.edges) for c in tri)
         for v in range(1, 7):
             assert pv.vertex_count(v) == sum(1 for c in tri if v in c.vertices)
+
+    @pytest.mark.parametrize("n", [5, 9, 14])
+    def test_bare_subsets_match_reference(self, n):
+        inst = random_instance(n, seed=n, weight_range=(1, 9))
+        cycles = triangles(inst).cycles
+        rng = random.Random(n)
+        for size in (0, 1, 7, len(cycles) // 2, len(cycles)):
+            chosen = rng.sample(cycles, min(size, len(cycles)))
+            pv = pass_vectors(chosen, graph=inst)
+            assert (pv.p_e, pv.p_v) == reference_pass_vectors(chosen, inst)
+
+    @pytest.mark.parametrize("graph_seed", [None, 3, 11, 28, 40])
+    def test_isometric_sets_match_reference(self, g1, graph_seed):
+        g = g1 if graph_seed is None else random_graph(9, graph_seed)
+        try:
+            iso = isometric_cycles(g)
+        except DomainError:
+            pytest.skip("random graph came out disconnected")
+        pv = pass_vectors(iso)
+        assert (pv.p_e, pv.p_v) == reference_pass_vectors(iso.cycles, g)
+        assert pass_vectors(list(iso), graph=g) == pv
+
+    def test_foreign_cycle_refused(self, k5, k6):
+        with pytest.raises(DomainError):
+            pass_vectors(triangles(k6).cycles[-1:], graph=k5)
 
 
 class TestMacLane:
@@ -219,3 +333,20 @@ class TestDeletionTrace:
             deletion_trace(tri, [1, 1])
         with pytest.raises(DomainError):
             deletion_trace(tri, [11])
+
+    def test_mixed_lengths_match_reference(self, g1):
+        # G1's listing mixes triangles, 4-cycles and 5-cycles, so each
+        # removal reads a slice of its own length.
+        iso = isometric_cycles(g1)
+        lengths = {hi - lo for lo, hi in zip(iso.offsets, iso.offsets[1:])}
+        assert sorted(lengths) == [3, 4, 5]
+        order = [16, 1, 9, 4, 13, 2, 15]
+        states = deletion_trace(iso, order)
+        left = list(range(1, 17))
+        for step, idx in enumerate([None, *order]):
+            if idx is not None:
+                left.remove(idx)
+            p_e, p_v = reference_pass_vectors([iso.cycle(k) for k in left], g1)
+            pv, f2 = states[step]
+            assert (pv.p_e, pv.p_v) == (p_e, p_v)
+            assert f2 == pv.f2
