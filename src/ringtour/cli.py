@@ -481,13 +481,15 @@ def cmd_bench(parser, args) -> RunReport:
         parser.error(f"--sizes expects comma-separated integers, got {args.sizes!r}")
     if not sizes:
         parser.error("--sizes needs at least one size")
+    if len(set(sizes)) < len(sizes):
+        parser.error(f"--sizes repeats a size, got {args.sizes!r}")
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
     seeds = range(1, args.seeds + 1)
     rows = [_bench_one(n, seed, args) for n in sizes for seed in seeds]
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     medians = {
-        n: median(r["millis"] for r in rows if r["n"] == n) for n in sorted(set(sizes))
+        n: median(r["millis"] for r in rows if r["n"] == n) for n in sorted(sizes)
     }
     slope = (
         _loglog_slope(sorted(medians), [medians[n] for n in sorted(medians)])
@@ -496,7 +498,7 @@ def cmd_bench(parser, args) -> RunReport:
     )
     # The closed-form op count is defined from n = 4, where seeding starts.
     predicted = {
-        n: float(op_count_estimate(n).f_n) for n in sorted(set(sizes)) if n >= 4
+        n: float(op_count_estimate(n).f_n) for n in sorted(sizes) if n >= 4
     }
     return RunReport(
         command="bench",

@@ -28,15 +28,18 @@ integers) make every sum exactly representable.
 
 Seeding is an O(n^3) wedge scan: a 4-cycle a-x-c-y is the two 2-paths
 a-x-c and a-y-c across its diagonal (a, c), so the cheapest cycle on each
-diagonal is the sum of its two cheapest wedges.
+diagonal is the sum of its two cheapest wedges.  Each smallest vertex a's
+wedges are one row slice of the weights plus a broadcast add, and a row's
+two cheapest come from an argmin, a mask and a min.
 
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
 apex, as in cheapest insertion, filled by one gather per block of
-candidates.  The hits of each weight class taken are keyed by the child's
-sorted edge ids straight from the table's indices, duplicates merge on
-those keys, and one gather builds the kept children's walks.  A round
-builds no Python object per child.
+candidates.  The hits of each weight class taken are the table's flat
+indices, split back into (candidate, walk edge, apex) in row-major scan
+order, and are keyed by the child's sorted edge ids straight from those
+indices; duplicates merge on the keys, and one gather builds the kept
+children's walks.  A round builds no Python object per child.
 """
 
 from __future__ import annotations
@@ -287,7 +290,10 @@ def _seed_scan(
     The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
     is c is the wedge sum W[c, x] + W[c, y] with x < y, so every 4-cycle is
     scanned once.  Pass 1 takes each diagonal's cheapest cycle from its
-    two cheapest wedges and cuts at the k-th cheapest diagonal, k = 3B - 2
+    two cheapest wedges: a's wedge rows are the slice w[a, a+1:] added to
+    w[a+1:, a+1:], with inf on the diagonal x == c, and a row's cheapest
+    wedge is its argmin, its second the min once that entry is masked.
+    Pass 1 cuts at the k-th cheapest diagonal, k = 3B - 2
     for beam B (no cut if there are fewer than k diagonals).  A quad
     a < b < c < d has exactly three anchor diagonals (a, b), (a, c) and
     (a, d), one per cycle, so k cycles on distinct diagonals lie on at
@@ -300,8 +306,15 @@ def _seed_scan(
     n = inst.n
     diag = []
     for a in range(n - 3):
-        part = np.partition(_wedge_rows(w, a, np.arange(a + 1, n)), 1, axis=1)
-        diag.append(part[:, 0] + part[:, 1])
+        # Row c - (a+1) is _wedge_rows(w, a, all c), since w is symmetric;
+        # a zero's sign may differ, which no comparison with the cut sees.
+        rows = w[a, a + 1 :] + w[a + 1 :, a + 1 :]
+        np.fill_diagonal(rows, np.inf)
+        r = np.arange(len(rows))
+        cheapest = rows.argmin(axis=1)
+        m1 = rows[r, cheapest]
+        rows[r, cheapest] = np.inf
+        diag.append(m1 + rows.min(axis=1))
     mins = np.concatenate(diag)
     k = 3 * width - 2
     cut = np.partition(mins, k - 1)[k - 1] if k <= mins.size else np.inf
@@ -431,7 +444,10 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     row_bytes = np.dtype((np.void, dtype.itemsize * (length + 1)))
     parts, held = [], None
     for cls in _weight_classes(vals):
-        f, i, o = np.nonzero(vals == cls)
+        # The flat hit index (f * L + i) * (n - L) + o, split back; the
+        # hits stay in row-major order, which is the scan order.
+        f, o = np.divmod(np.flatnonzero(vals == cls), n - length)
+        f, i = np.divmod(f, length)
         hits = np.arange(len(f))
         apex = outs[f, o]
         # The child's edge ids: the parent's, with walk edge i replaced by

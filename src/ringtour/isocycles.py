@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,18 +196,22 @@ class PassVectors:
     def vertex_count(self, v: int) -> int:
         return self.p_v[v - 1]
 
+    def _edge_histogram(self) -> Iterator[tuple[int, int]]:
+        """(p, number of edges with pass count p) for each distinct p."""
+        counts = np.bincount(np.array(self.p_e, dtype=np.int64))
+        ps = np.flatnonzero(counts)
+        return zip(ps.tolist(), counts[ps].tolist())
+
     @property
     def f1(self) -> int:
         """Quadratic MacLane functional over the live (p > 0) edges."""
         # Zero-pass edges are excluded from both sums and from the edge count.
-        live = [p for p in self.p_e if p > 0]
-        return sum(p * p for p in live) - 3 * sum(live) + 2 * len(live)
+        return sum(c * (p * p - 3 * p + 2) for p, c in self._edge_histogram() if p > 0)
 
     @property
     def f2(self) -> int:
         """Cubic MacLane functional; zero for a planar-compatible cycle system."""
-        p_e = self.p_e
-        return sum(p**3 for p in p_e) - 3 * sum(p * p for p in p_e) + 2 * sum(p_e)
+        return sum(c * (p**3 - 3 * p * p + 2 * p) for p, c in self._edge_histogram())
 
 
 def pass_vectors(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> PassVectors:

@@ -380,6 +380,18 @@ class TestUsageAndErrors:
         code, _, _ = run_cli(capsys, "bench", "--sizes", "8,big")
         assert code == 1
 
+    @pytest.mark.parametrize("sizes", ["5,5", "5,6,5"])
+    def test_repeated_size_is_usage_error(self, capsys, sizes):
+        # a repeated size would solve its (n, seed) pairs twice and take the
+        # median over the copies
+        code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--seeds", "1")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[0].startswith("usage:")
+        assert err.splitlines()[1:] == [
+            f"ringtour: error: --sizes repeats a size, got {sizes!r}"
+        ]
+
     @pytest.mark.parametrize("flag", ["--seeds"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bench_counts_must_be_positive(self, capsys, flag, value):

@@ -30,6 +30,7 @@ from ringtour import (
     triangles,
 )
 from ringtour import heuristic
+from ringtour.graphs import edge_id_table
 from ringtour.heuristic import Frontier, FrontierCandidate, parse_beam
 
 
@@ -85,6 +86,46 @@ def reference_seeds(inst, beam):
     else:
         cut = entries[min(beam, len(entries)) - 1][0]
     return [entry for entry in entries if entry[0] <= cut]
+
+
+def reference_seed_scan(inst, width):
+    """``_seed_scan`` with pass 1 as a gather and a partition per row.
+
+    Pass 1 reads each diagonal's two cheapest wedges off ``np.partition``
+    of its ``_wedge_rows``; pass 2 is a copy of the library's.
+    """
+    w, n = inst.weights, inst.n
+    diag = []
+    for a in range(n - 3):
+        rows = heuristic._wedge_rows(w, a, np.arange(a + 1, n))
+        part = np.partition(rows, 1, axis=1)
+        diag.append(part[:, 0] + part[:, 1])
+    mins = np.concatenate(diag)
+    k = 3 * width - 2
+    cut = np.partition(mins, k - 1)[k - 1] if k <= mins.size else np.inf
+
+    walks, weights = [], []
+    for a, dmin in enumerate(diag):
+        cs = a + 1 + np.flatnonzero(dmin <= cut)
+        if not cs.size:
+            continue
+        for c, row in zip(cs, heuristic._wedge_rows(w, a, cs)):
+            pair = row[:, None] + row[None, :]
+            x, y = np.nonzero(np.triu((pair <= cut) & np.isfinite(pair), k=1))
+            corners = (np.full_like(x, a), a + 1 + x, np.full_like(x, c), a + 1 + y)
+            walks.append(np.column_stack(corners))
+            weights.append(pair[x, y])
+    walks = np.concatenate(walks)
+    weights = np.concatenate(weights)
+    quads = np.sort(walks, axis=1).astype(np.int64) @ n ** np.arange(3, -1, -1)
+    _, quad = np.unique(quads, return_inverse=True)
+    best = np.full(quad.max() + 1, np.inf)
+    np.minimum.at(best, quad, weights)
+    keep = weights == best[quad]
+    walks = walks[keep]
+    keys = edge_id_table(n)[walks, np.roll(walks, -1, axis=1)]
+    keys.sort(axis=1)
+    return (walks + 1).astype(np.int32), keys, weights[keep]
 
 
 def decimal_instance(n, seed):
@@ -249,6 +290,30 @@ class TestSeedFrontier:
         assert size >= 400 and built == []
         assert [c.weight for c in frontier.candidates] == frontier.weights.tolist()
         assert len(built) == size
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "label",
+        ["tenths", "negative-zero-block", "uniform", "lattice-3x4", *range(4, 9)],
+    )
+    def test_scan_matches_partition_pass(self, label, width):
+        # pass 1's slices and argmin cut where the gather and partition did
+        if label == "tenths":
+            inst = decimal_instance(12, 12)
+        elif label == "negative-zero-block":
+            w = random_instance(9, 9, (1, 9)).weights.copy()
+            w[:5, :5] = -0.0
+            inst = CompleteInstance(w)
+        elif label == "uniform":
+            inst = random_instance(9, 9, (4, 4))
+        elif label == "lattice-3x4":
+            inst = lattice_instance(3, 4)
+        else:
+            inst = random_instance(label, label, (1, 20))
+        got = heuristic._seed_scan(inst, width)
+        want = reference_seed_scan(inst, width)
+        for g, r in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
 
     def test_too_small(self):
         inst = random_instance(3, 1, (1, 9))
@@ -508,6 +573,65 @@ class TestInsertionTable:
         walks, outs, vals = heuristic._insertion_table(inst, frontier)
         assert np.array_equal(walks[:, :-1] + 1, [c.order for c in cands])
         assert vals.tobytes() == reference_table(inst, cands).tobytes()
+
+
+def reference_round(inst, frontier):
+    """``extend_frontier`` with each class's hits taken by 3-D ``np.nonzero``.
+
+    Returns the children's (walks, keys, weights) and the round's lineage
+    arrays (parent row, split position, apex, weight).
+    """
+    n, length = inst.n, frontier.length
+    walks, outs, vals = heuristic._insertion_table(inst, frontier)
+    ids = edge_id_table(n)
+    walk_ids = ids[walks[:, :-1], walks[:, 1:]]
+    row_bytes = np.dtype((np.void, ids.dtype.itemsize * (length + 1)))
+    parts, held = [], np.empty(0, row_bytes)
+    for cls in np.unique(vals):
+        f, i, o = np.nonzero(vals == cls)
+        apex = outs[f, o]
+        keys = np.empty((len(f), length + 1), dtype=ids.dtype)
+        keys[:, :-1] = walk_ids[f]
+        keys[np.arange(len(f)), i] = ids[walks[f, i], apex]
+        keys[:, -1] = ids[walks[f, i + 1], apex]
+        keys.sort(axis=1)
+        row_keys = keys.astype(ids.dtype.newbyteorder(">")).view(row_bytes).ravel()
+        distinct, first = np.unique(row_keys, return_index=True)
+        fresh = ~np.isin(distinct, held)
+        distinct, first = distinct[fresh], first[fresh]
+        held = np.concatenate([held, distinct])
+        weights = np.full(len(first), cls)
+        parts.append((f[first], i[first], apex[first] + 1, keys[first], weights))
+        if len(held) >= frontier.beam:
+            break
+    rows, splits, apexes, keys, weights = (np.concatenate(col) for col in zip(*parts))
+    children = frontier.walks[rows].tolist()
+    for walk, split, apex in zip(children, splits, apexes):
+        walk.insert(split + 1, apex)
+    children = np.array(children, dtype=frontier.walks.dtype)
+    return (children, keys, weights), (rows, splits, apexes, weights)
+
+
+class TestHitOrder:
+    @pytest.mark.parametrize(
+        "inst, beam, rounds",
+        [(decimal_instance(80, 80), 200, 3), (lattice_instance(4, 4), 1, 12)],
+        ids=["tenths-80", "lattice-4x4"],
+    )
+    def test_flat_hits_match_nonzero(self, inst, beam, rounds):
+        # tables past one gather block with L != n - L, where the flat
+        # index's two divisors differ; tenths take several classes a round
+        frontier, spans = seed_frontier(inst, beam), []
+        for _ in range(rounds):
+            size, length = frontier.walks.shape
+            cells = size * (length + 1) * (inst.n - length)
+            spans.append(cells > heuristic._GATHER_CELLS and 2 * length != inst.n)
+            want, want_lineage = reference_round(inst, frontier)
+            frontier = extend_frontier(inst, frontier)
+            got = (frontier.walks, frontier.keys, frontier.weights)
+            for g, r in zip((*got, *frontier._rounds[-1]), (*want, *want_lineage)):
+                assert g.dtype == r.dtype and np.array_equal(g, r)
+        assert any(spans)
 
 
 def triangle_edges(inst, triangle):

@@ -53,6 +53,14 @@ def reference_pass_vectors(cycles, graph):
     return tuple(p_e), tuple(p_v)
 
 
+def reference_functionals(p_e):
+    """F1 and F2 as per-edge sums; F1 counts only the live (p > 0) edges."""
+    live = [p for p in p_e if p > 0]
+    f1 = sum(p * p for p in live) - 3 * sum(live) + 2 * len(live)
+    f2 = sum(p**3 for p in p_e) - 3 * sum(p * p for p in p_e) + 2 * sum(p_e)
+    return f1, f2
+
+
 def random_graph(n, seed, p=0.45):
     rng = random.Random(seed)
     edges = [
@@ -295,6 +303,31 @@ class TestMacLane:
         assert sum(1 for p in pv.p_e if p == 1) == 5
 
 
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_triangles_match_per_edge_sums(self, n):
+        pv = pass_vectors(triangles(random_instance(n, n, (1, 9))))
+        assert (pv.f1, pv.f2) == reference_functionals(pv.p_e)
+
+    @pytest.mark.parametrize("graph_seed", [None, 3, 11, 28, 40])
+    def test_isometric_sets_match_per_edge_sums(self, g1, graph_seed):
+        g = g1 if graph_seed is None else random_graph(9, graph_seed)
+        try:
+            pv = pass_vectors(isometric_cycles(g))
+        except DomainError:
+            pytest.skip("random graph came out disconnected")
+        assert (pv.f1, pv.f2) == reference_functionals(pv.p_e)
+        if graph_seed is None:  # G1's edges pass 2, 3 or 4 times
+            assert set(pv.p_e) == {2, 3, 4}
+
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_deletion_states_match_per_edge_sums(self, n):
+        # deleting most triangles leaves zero-pass edges next to live ones
+        tri = triangles(random_instance(n, n, (1, 9)))
+        order = random.Random(n).sample(range(1, len(tri) + 1), len(tri) - 2)
+        for pv, f2 in deletion_trace(tri, order):
+            assert (pv.f1, f2) == reference_functionals(pv.p_e)
+
+
 class TestDeletionTrace:
     def test_k5_known_sequence(self, k5):
         tri = triangles(k5)
@@ -349,4 +382,4 @@ class TestDeletionTrace:
             p_e, p_v = reference_pass_vectors([iso.cycle(k) for k in left], g1)
             pv, f2 = states[step]
             assert (pv.p_e, pv.p_v) == (p_e, p_v)
-            assert f2 == pv.f2
+            assert (pv.f1, f2) == reference_functionals(p_e)
