@@ -42,7 +42,6 @@ from .graphs import (
 from .hamilton import build_hamiltonian, is_touching
 from .heuristic import (
     Frontier,
-    FrontierCandidate,
     OpCounts,
     QuadCycleTriple,
     extend_frontier,
@@ -84,7 +83,6 @@ __all__ = [
     "DomainError",
     "EdgeSet",
     "Frontier",
-    "FrontierCandidate",
     "GeneralGraph",
     "InstanceSource",
     "InvalidInstanceError",

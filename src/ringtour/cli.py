@@ -179,7 +179,7 @@ def _trace_payload(res: TourResult) -> list:
                     {
                         "length": snap.length,
                         "weight": snap.weight,
-                        "edge_sets": [sorted(es) for es in snap.edge_sets],
+                        "edge_sets": snap.keys.tolist(),
                     }
                     for snap in res.trace.frontier_history
                 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -149,6 +149,12 @@ class Cycle:
     vertices: frozenset[int]
     degree_profile: tuple[tuple[int, int], ...]  # (vertex, degree), sorted
     simple: bool
+
+    @classmethod
+    def simple_cycle(cls, ids: Iterable[int], vertices: Sequence[int], m: int) -> Cycle:
+        """The simple cycle on edge ids ``ids`` through ``vertices``, all degree 2."""
+        profile = tuple((v, 2) for v in sorted(vertices))
+        return cls(EdgeSet.of(ids, m), frozenset(vertices), profile, True)
 
     def degree(self, v: int) -> int:
         for u, d in self.degree_profile:

@@ -15,9 +15,9 @@ row the parent row, the walk position the apex went in after, and the
 apex, and :func:`tour_result` replays the winning row's lineage into the
 tour and its trace steps.  :func:`~ringtour.hamilton.build_hamiltonian`
 records the same lineage and goes through the same replay.  A cycle
-enters a frontier only as array rows, and leaves it as a
-:class:`FrontierCandidate` only when the frontier's ``candidates`` are
-read.
+enters a frontier only as array rows, and leaves it as the algebra's
+:class:`~ringtour.edgesets.Cycle` only when the frontier's ``candidates``
+are read.
 
 Beam policy: a beam width B keeps the B cheapest candidates of each round
 plus every candidate tied at the cutoff.  The default "all-ties" is width
@@ -48,6 +48,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -66,9 +67,9 @@ def parse_beam(beam: BeamSpec) -> int:
     if beam in (None, "all-ties"):
         return 1
     width = int(beam) if isinstance(beam, str) and beam.isdecimal() else beam
-    # bool is an int subclass, but True is not a width.
-    if isinstance(width, int) and not isinstance(width, bool) and width >= 1:
-        return width
+    # bool is Integral, but True is not a width; numpy's bool_ is not Integral.
+    if isinstance(width, Integral) and not isinstance(width, bool) and width >= 1:
+        return int(width)
     raise DomainError(f"beam must be a positive integer or 'all-ties', got {beam!r}")
 
 
@@ -114,38 +115,6 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
     )
 
 
-@dataclass(frozen=True)
-class FrontierCandidate:
-    """A simple cycle: its closed vertex walk, sorted edge ids and weight.
-
-    ``ids``, the walk's sorted edge ids, merges duplicates and breaks weight
-    ties; ``edges`` rebuilds the edge set in the ``m`` edges of K_n.  A
-    :class:`Frontier` holds its cycles as arrays and builds these only when
-    its ``candidates`` are read.
-    """
-
-    order: tuple[int, ...]
-    ids: tuple[int, ...]
-    weight: float
-    m: int
-
-    @property
-    def edges(self) -> EdgeSet:
-        return EdgeSet.of(self.ids, self.m)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.order)
-
-    def as_cycle(self) -> Cycle:
-        return Cycle(
-            edges=self.edges,
-            vertices=self.vertices,
-            degree_profile=tuple((v, 2) for v in sorted(self.order)),
-            simple=True,
-        )
-
-
 class Lineage(NamedTuple):
     """How one cycle grew: its root walk and weight, then one growth per step.
 
@@ -170,9 +139,10 @@ class Frontier:
     round's rows (parent row, walk position the apex went in after, apex,
     weight), but no walks or keys.
 
-    The arrays are the only way in.  ``candidates`` builds one
-    :class:`FrontierCandidate` per row when first indexed or iterated; its
-    ``len`` builds none.
+    The arrays are the only way in, and a row's weight, walk and ids are
+    read off them.  ``candidates`` builds every row's simple
+    :class:`~ringtour.edgesets.Cycle` (in the ``m`` edges of K_n) when one
+    is first indexed or iterated; its ``len`` builds none.
     """
 
     def __init__(self, walks, keys, weights, beam, m, root=None, rounds=()):
@@ -180,19 +150,15 @@ class Frontier:
         self.length = walks.shape[1]
         self.beam, self.m = beam, m
         self._root, self._rounds = root, rounds
-        self._built: tuple[FrontierCandidate, ...] | None = None
+        self._built: tuple[Cycle, ...] | None = None
 
     @property
-    def candidates(self) -> Sequence[FrontierCandidate]:
+    def candidates(self) -> Sequence[Cycle]:
         return _Candidates(self)
 
     @property
     def weight(self) -> float:
         return float(self.weights[0])
-
-    @property
-    def edge_sets(self) -> tuple[EdgeSet, ...]:
-        return tuple(EdgeSet.of(ids, self.m) for ids in self.keys.tolist())
 
     def lineage(self, row: int = 0) -> Lineage:
         """Row ``row``'s growth from its root, read back round by round."""
@@ -209,7 +175,7 @@ class Frontier:
 
 
 class _Candidates(Sequence):
-    """A frontier's rows as candidates, all built on the first item read.
+    """A frontier's rows as cycles, all built on the first item read.
 
     The built tuple is kept on the frontier, which holds no reference back,
     so a frontier is freed as soon as the round after it is done with it.
@@ -224,11 +190,8 @@ class _Candidates(Sequence):
     def __getitem__(self, k):
         f = self._frontier
         if f._built is None:
-            rows = zip(f.walks.tolist(), f.keys.tolist(), f.weights.tolist())
-            f._built = tuple(
-                FrontierCandidate(tuple(walk), tuple(ids), weight, f.m)
-                for walk, ids, weight in rows
-            )
+            rows = zip(f.keys.tolist(), f.walks.tolist())
+            f._built = tuple(Cycle.simple_cycle(ids, walk, f.m) for ids, walk in rows)
         return f._built[k]
 
 
@@ -270,15 +233,14 @@ def _walk_edges(inst: CompleteInstance, walk: Sequence[int]) -> EdgeSet:
     return EdgeSet.of((inst.edge_id(u, v) for u, v in ends), inst.m)
 
 
-def _wedge_rows(w: np.ndarray, a: int, cs: np.ndarray) -> np.ndarray:
-    """Rows ``cs`` of the wedge matrix of smallest vertex ``a`` (0-based).
+def _wedge_rows(w: np.ndarray, a: int) -> np.ndarray:
+    """The wedge matrix of smallest vertex ``a`` (0-based), a fresh array.
 
-    Entry (c, x) over x = a+1 .. n-1 is w(a, x) + w(x, c), the 2-path
-    a-x-c across the diagonal (a, c); it is inf where x == c.
+    Entry (c, x), both offset by a+1 over a+1 .. n-1, is w(a, x) + w(c, x),
+    the 2-path a-x-c across the diagonal (a, c); it is inf where x == c.
     """
-    xs = np.arange(a + 1, len(w))
-    rows = w[a, xs] + w[np.ix_(cs, xs)]
-    rows[np.arange(len(cs)), cs - (a + 1)] = np.inf
+    rows = w[a, a + 1 :] + w[a + 1 :, a + 1 :]
+    np.fill_diagonal(rows, np.inf)
     return rows
 
 
@@ -290,26 +252,24 @@ def _seed_scan(
     The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
     is c is the wedge sum W[c, x] + W[c, y] with x < y, so every 4-cycle is
     scanned once.  Pass 1 takes each diagonal's cheapest cycle from its
-    two cheapest wedges: a's wedge rows are the slice w[a, a+1:] added to
-    w[a+1:, a+1:], with inf on the diagonal x == c, and a row's cheapest
-    wedge is its argmin, its second the min once that entry is masked.
+    two cheapest wedges: a's wedge rows are :func:`_wedge_rows`, the slice
+    w[a, a+1:] added to w[a+1:, a+1:], and a row's cheapest wedge is its
+    argmin, its second the min once that entry is masked.
     Pass 1 cuts at the k-th cheapest diagonal, k = 3B - 2
     for beam B (no cut if there are fewer than k diagonals).  A quad
     a < b < c < d has exactly three anchor diagonals (a, b), (a, c) and
     (a, d), one per cycle, so k cycles on distinct diagonals lie on at
     least ceil(k/3) = B quads, and the beam cuts no higher.  Beam 1 cuts at
-    the global minimum.  Pass 2 lists every cycle at or below the cut and
-    keeps each quad's minimum.  Returns the kept cycles' walks (1-based),
-    sorted edge ids and weights, in scan order.
+    the global minimum.  Pass 2 lists every cycle at or below the cut,
+    from the same wedge rows, and keeps each quad's minimum.  Returns the
+    kept cycles' walks (1-based), sorted edge ids and weights, in scan
+    order.
     """
     w = inst.weights
     n = inst.n
     diag = []
     for a in range(n - 3):
-        # Row c - (a+1) is _wedge_rows(w, a, all c), since w is symmetric;
-        # a zero's sign may differ, which no comparison with the cut sees.
-        rows = w[a, a + 1 :] + w[a + 1 :, a + 1 :]
-        np.fill_diagonal(rows, np.inf)
+        rows = _wedge_rows(w, a)
         r = np.arange(len(rows))
         cheapest = rows.argmin(axis=1)
         m1 = rows[r, cheapest]
@@ -321,10 +281,10 @@ def _seed_scan(
 
     walks, weights = [], []
     for a, dmin in enumerate(diag):
-        cs = a + 1 + np.flatnonzero(dmin <= cut)
+        cs = np.flatnonzero(dmin <= cut)
         if not cs.size:
             continue
-        for c, row in zip(cs, _wedge_rows(w, a, cs)):
+        for c, row in zip(a + 1 + cs, _wedge_rows(w, a)[cs]):
             pair = row[:, None] + row[None, :]
             x, y = np.nonzero(np.triu((pair <= cut) & np.isfinite(pair), k=1))
             corners = (np.full_like(x, a), a + 1 + x, np.full_like(x, c), a + 1 + y)

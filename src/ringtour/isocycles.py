@@ -9,7 +9,9 @@ BFS distance along the cycle.
 Either way the result is an :class:`IsometricCycleSet`: flat arrays of edge
 ids and vertices cut into cycles by one offsets array.  Pass vectors and
 deletion traces count over those arrays with numpy, so neither builds a
-:class:`~ringtour.edgesets.Cycle`.
+:class:`~ringtour.edgesets.Cycle`; read as objects, the cycles come from
+:meth:`Cycle.simple_cycle <ringtour.edgesets.Cycle.simple_cycle>`, as a
+frontier's rows do.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .edgesets import Cycle, EdgeSet
+from .edgesets import Cycle
 from .errors import DomainError
 from .graphs import CompleteInstance, GeneralGraph, edge_id_table
 
@@ -75,16 +77,10 @@ class IsometricCycleSet:
     @property
     def cycles(self) -> tuple[Cycle, ...]:
         if self._built is None:
-            m = self.graph.m
             ids, verts = self.edges.tolist(), self.vertices.tolist()
             cuts = self.offsets.tolist()
             self._built = tuple(
-                Cycle(
-                    edges=EdgeSet.of(ids[lo:hi], m),
-                    vertices=frozenset(verts[lo:hi]),
-                    degree_profile=tuple((v, 2) for v in verts[lo:hi]),
-                    simple=True,
-                )
+                Cycle.simple_cycle(ids[lo:hi], verts[lo:hi], self.graph.m)
                 for lo, hi in zip(cuts, cuts[1:])
             )
         return self._built
@@ -191,9 +187,13 @@ class PassVectors:
     p_v: tuple[int, ...]
 
     def edge_count(self, eid: int) -> int:
+        if not (1 <= eid <= len(self.p_e)):
+            raise DomainError(f"edge id {eid} out of range 1..{len(self.p_e)}")
         return self.p_e[eid - 1]
 
     def vertex_count(self, v: int) -> int:
+        if not (1 <= v <= len(self.p_v)):
+            raise DomainError(f"vertex {v} out of range 1..{len(self.p_v)}")
         return self.p_v[v - 1]
 
     def _edge_histogram(self) -> Iterator[tuple[int, int]]:

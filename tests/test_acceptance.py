@@ -88,7 +88,8 @@ def test_criterion_2_k5_base_example(k5):
             "weight 35": res.weight == 35,
             "edge set {e1,e3,e7,e8,e9}": res.edges.ids() == (1, 3, 7, 8, 9),
             "seed weight 29": seed.weight == 29,
-            "seed edge set {e1,e3,e7,e10}": seed.edge_sets[0].ids() == (1, 3, 7, 10),
+            "seed edge set {e1,e3,e7,e10}": seed.candidates[0].edges.ids()
+            == (1, 3, 7, 10),
             "heuristic equals desk value": res.weight == 35,
         },
         detail=f"optimum={optimum:g}, ratio={ratio:.4f}",
@@ -114,7 +115,7 @@ def test_criterion_4_k6_worked_example(k6):
     res = solve(k6, beam="all-ties", trace=True)
     elapsed = time.perf_counter() - t0
     hist = res.trace.frontier_history
-    seed_sets = {es.ids() for es in hist[0].edge_sets}
+    seed_sets = {c.edges.ids() for c in hist[0].candidates}
     tri = triangles(k6)
     z19 = EdgeSet.of((2, 4, 10, 13), 15)
     z5 = EdgeSet.of((1, 2, 8, 11), 15)
@@ -128,10 +129,10 @@ def test_criterion_4_k6_worked_example(k6):
             == {(1, 2, 8, 11), (2, 4, 10, 13), (2, 3, 11, 13)},
             "frontier weight 20": hist[0].weight == 20,
             "5-cycle minimum 26": hist[1].weight == 26,
-            "single 5-cycle candidate": len(hist[1].edge_sets) == 1,
+            "single 5-cycle candidate": len(hist[1].candidates) == 1,
             "reached by two decompositions": five
             == ring_sum(z5, tri.cycle(17).edges)
-            == hist[1].edge_sets[0],
+            == hist[1].candidates[0].edges,
             "runtime < 1 s": elapsed < 1.0,
         },
         detail=f"{elapsed * 1e3:.1f} ms",

@@ -30,7 +30,9 @@ def test_frontier_snapshot_is_gone():
 
 def test_candidate_constructors_are_gone():
     # a frontier is built only from its arrays
-    assert not hasattr(ringtour.FrontierCandidate, "root")
+    assert "FrontierCandidate" not in ringtour.__all__
+    assert not hasattr(ringtour.heuristic, "FrontierCandidate")
+    assert not hasattr(ringtour.Frontier, "edge_sets")
     assert not hasattr(ringtour.Frontier, "_of_rows")
     assert not hasattr(ringtour.Frontier, "_set")
     with pytest.raises(TypeError):

@@ -11,6 +11,7 @@ import pytest
 
 from ringtour import (
     CompleteInstance,
+    Cycle,
     CycleKind,
     DomainError,
     EdgeSet,
@@ -31,7 +32,7 @@ from ringtour import (
 )
 from ringtour import heuristic
 from ringtour.graphs import edge_id_table
-from ringtour.heuristic import Frontier, FrontierCandidate, parse_beam
+from ringtour.heuristic import Frontier, parse_beam
 
 
 def reference_extend(inst, frontier, triangle_set):
@@ -42,17 +43,16 @@ def reference_extend(inst, frontier, triangle_set):
     the frontier applies (cutoff ties kept).
     """
     entries = []
-    for cand in frontier.candidates:
-        zc = cand.as_cycle()
+    for zc, base in zip(frontier.candidates, frontier.weights.tolist()):
         for tri in triangle_set:
             if not is_touching(zc, tri):
                 continue
-            (apex,) = tri.vertices - cand.vertices
+            (apex,) = tri.vertices - zc.vertices
             u, v = sorted(tri.vertices - {apex})
-            weight = cand.weight + (
+            weight = base + (
                 (inst.weight(u, apex) + inst.weight(v, apex)) - inst.weight(u, v)
             )
-            entries.append((weight, cand.edges ^ tri.edges))
+            entries.append((weight, zc.edges ^ tri.edges))
     merged = {}
     for weight, edges in sorted(entries, key=lambda e: e[0]):
         merged.setdefault(edges, weight)
@@ -88,16 +88,29 @@ def reference_seeds(inst, beam):
     return [entry for entry in entries if entry[0] <= cut]
 
 
+def reference_wedge_rows(w, a, cs):
+    """Rows ``cs`` of the wedge matrix of smallest vertex ``a`` (0-based).
+
+    Entry (c, x) over x = a+1 .. n-1 is w(a, x) + w(x, c), gathered by
+    ``np.ix_``; it is inf where x == c.
+    """
+    xs = np.arange(a + 1, len(w))
+    rows = w[a, xs] + w[np.ix_(cs, xs)]
+    rows[np.arange(len(cs)), cs - (a + 1)] = np.inf
+    return rows
+
+
 def reference_seed_scan(inst, width):
-    """``_seed_scan`` with pass 1 as a gather and a partition per row.
+    """``_seed_scan`` with its wedge rows gathered and pass 1 partitioned.
 
     Pass 1 reads each diagonal's two cheapest wedges off ``np.partition``
-    of its ``_wedge_rows``; pass 2 is a copy of the library's.
+    of its ``reference_wedge_rows``; pass 2 is the library's, on gathered
+    rows.
     """
     w, n = inst.weights, inst.n
     diag = []
     for a in range(n - 3):
-        rows = heuristic._wedge_rows(w, a, np.arange(a + 1, n))
+        rows = reference_wedge_rows(w, a, np.arange(a + 1, n))
         part = np.partition(rows, 1, axis=1)
         diag.append(part[:, 0] + part[:, 1])
     mins = np.concatenate(diag)
@@ -109,7 +122,7 @@ def reference_seed_scan(inst, width):
         cs = a + 1 + np.flatnonzero(dmin <= cut)
         if not cs.size:
             continue
-        for c, row in zip(cs, heuristic._wedge_rows(w, a, cs)):
+        for c, row in zip(cs, reference_wedge_rows(w, a, cs)):
             pair = row[:, None] + row[None, :]
             x, y = np.nonzero(np.triu((pair <= cut) & np.isfinite(pair), k=1))
             corners = (np.full_like(x, a), a + 1 + x, np.full_like(x, c), a + 1 + y)
@@ -138,16 +151,27 @@ def decimal_instance(n, seed):
 
 
 def count_candidates(monkeypatch):
-    """A list that grows by one per FrontierCandidate built from now on."""
+    """A list that grows by one per Cycle built from now on."""
     built = []
-    init = FrontierCandidate.__init__
+    init = Cycle.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FrontierCandidate, "__init__", counting_init)
+    monkeypatch.setattr(Cycle, "__init__", counting_init)
     return built
+
+
+def frontier_rows(frontier):
+    """Each row as (weight, edge ids, walk); the ids are its Cycle's."""
+    rows = zip(frontier.weights.tolist(), frontier.candidates, frontier.walks.tolist())
+    return [(weight, c.edges.ids(), tuple(walk)) for weight, c, walk in rows]
+
+
+def weighted_ids(frontier):
+    """Each row as (weight, edge ids)."""
+    return [row[:2] for row in frontier_rows(frontier)]
 
 
 class TestQuadCycles:
@@ -197,18 +221,18 @@ class TestSeedFrontier:
         f = seed_frontier(k5)
         assert f.length == 4
         assert [c.edges.ids() for c in f.candidates] == [(1, 3, 7, 10)]
-        assert f.candidates[0].weight == 29
+        assert f.weights[0] == 29
 
     def test_k6_three_way_tie(self, k6):
         f = seed_frontier(k6)
         got = {c.edges.ids() for c in f.candidates}
         assert got == {(1, 2, 8, 11), (2, 4, 10, 13), (2, 3, 11, 13)}
-        assert all(c.weight == 20 for c in f.candidates)
+        assert all(weight == 20 for weight in f.weights.tolist())
 
     def test_k4(self, k4):
         f = seed_frontier(k4)
         assert [c.edges.ids() for c in f.candidates] == [(1, 2, 5, 6)]
-        assert f.candidates[0].weight == 27
+        assert f.weights[0] == 27
 
     def test_beam_keeps_cutoff_ties(self, k6):
         f = seed_frontier(k6, beam=1)
@@ -216,7 +240,7 @@ class TestSeedFrontier:
 
     def test_beam_two(self, k5):
         f = seed_frontier(k5, beam=2)
-        assert [c.weight for c in f.candidates] == [29, 30]
+        assert f.weights.tolist() == [29, 30]
 
     def test_beam_matches_per_quad_minima(self, k6):
         # beam wide enough returns every per-quad minimum
@@ -236,8 +260,7 @@ class TestSeedFrontier:
     @pytest.mark.parametrize("n", range(4, 12))
     def test_matches_quad_oracle(self, n, weights, beam):
         inst = random_instance(n, 100 * n + weights[1], weights)
-        seeds = seed_frontier(inst, beam).candidates
-        got = [(c.weight, c.edges.ids(), c.order) for c in seeds]
+        got = frontier_rows(seed_frontier(inst, beam))
         assert got == reference_seeds(inst, beam)
 
     @staticmethod
@@ -256,11 +279,9 @@ class TestSeedFrontier:
                 w[a + u - 1, a + v - 1] = w[a + v - 1, a + u - 1] = weight
         inst = CompleteInstance(w)
         assert quad_cycles(inst, (n - 4, n - 3, n - 2, n - 1)).weights == (6, 8, 10)
-        seeds = seed_frontier(inst, beam).candidates
-        assert [(c.weight, c.edges.ids(), c.order) for c in seeds] == reference_seeds(
-            inst, beam
-        )
-        assert len({frozenset(c.order) for c in seeds}) >= beam
+        seeds = seed_frontier(inst, beam)
+        assert frontier_rows(seeds) == reference_seeds(inst, beam)
+        assert len({c.vertices for c in seeds.candidates}) >= beam
 
     @pytest.mark.parametrize("beam", [1, 2, 3, 4])
     def test_beam_reaches_past_cheap_quads(self, beam):
@@ -278,8 +299,8 @@ class TestSeedFrontier:
         # the scan and quad_cycles sum each cycle in the same order
         inst = decimal_instance(7 + seed, seed)
         for beam in ("all-ties", 1, 5, 50):
-            for c in seed_frontier(inst, beam).candidates:
-                assert c.weight == min(quad_cycles(inst, c.order).weights)
+            for weight, _, walk in frontier_rows(seed_frontier(inst, beam)):
+                assert weight == min(quad_cycles(inst, walk).weights)
 
     def test_builds_no_candidate_per_listed_seed(self, monkeypatch):
         # beam 400 has no diagonal cut at n = 40, so every quad minimum is
@@ -288,7 +309,9 @@ class TestSeedFrontier:
         frontier = seed_frontier(decimal_instance(40, 40), beam=400)
         size = len(frontier.candidates)
         assert size >= 400 and built == []
-        assert [c.weight for c in frontier.candidates] == frontier.weights.tolist()
+        assert [c.edges.ids() for c in frontier.candidates] == [
+            tuple(ids) for ids in frontier.keys.tolist()
+        ]
         assert len(built) == size
 
     @pytest.mark.parametrize("width", [1, 2, 7])
@@ -327,9 +350,13 @@ class TestSeedFrontier:
             seed_frontier(k5, beam="few")
         with pytest.raises(DomainError):  # a digit that int() does not parse
             parse_beam("²")
-        for flag in (True, False):  # bool is an int, but not a width
+        for flag in (True, False, np.True_):  # bool is an int, but not a width
             with pytest.raises(DomainError):
                 seed_frontier(k5, beam=flag)
+        for width in (np.int64(2), np.int32(1)):  # numpy integers are widths
+            assert type(parse_beam(width)) is int and parse_beam(width) == width
+            history = solve(k5, beam=width, trace=True).trace.frontier_history
+            assert history[0].beam == width
 
 
 def lattice_instance(rows, cols):
@@ -375,8 +402,9 @@ class TestCandidateKey:
     def test_ids_are_the_walks_sorted_edge_ids(self, inst, beam):
         frontier = seed_frontier(inst, beam)
         while True:
-            for c in frontier.candidates:
-                assert c.ids == walk_edge_ids(inst, c.order) == c.edges.ids()
+            rows = zip(frontier.keys.tolist(), frontier.walks.tolist())
+            for (ids, walk), c in zip(rows, frontier.candidates):
+                assert tuple(ids) == walk_edge_ids(inst, walk) == c.edges.ids()
             if frontier.length == inst.n:
                 break
             frontier = extend_frontier(inst, frontier)
@@ -389,7 +417,7 @@ class TestCandidateKey:
         assert frontier.keys.dtype == np.uint16
         for _ in range(3):
             frontier = extend_frontier(inst, frontier)
-            got = [(c.weight, c.ids) for c in frontier.candidates]
+            got = weighted_ids(frontier)
             assert len(got) > 1 and got == sorted(got)
 
     def test_hot_loop_builds_no_edge_sets(self, monkeypatch):
@@ -411,13 +439,13 @@ class TestExtendFrontier:
         f = extend_frontier(k5, seed_frontier(k5))
         assert f.length == 5
         assert [c.edges.ids() for c in f.candidates] == [(1, 3, 7, 8, 9)]
-        assert f.candidates[0].weight == 35
+        assert f.weights[0] == 35
 
     def test_k6_dubl_cycle_collapse(self, k6):
         tri = triangles(k6)
         f = extend_frontier(k6, seed_frontier(k6))
         assert [c.edges.ids() for c in f.candidates] == [(1, 2, 8, 10, 13)]
-        assert f.candidates[0].weight == 26
+        assert f.weights[0] == 26
         # the same 5-cycle arises from two different decompositions
         z19 = EdgeSet.of((2, 4, 10, 13), 15)
         z5 = EdgeSet.of((1, 2, 8, 11), 15)
@@ -446,7 +474,7 @@ class TestExtendFrontier:
         while fast.length < inst.n:
             ref = reference_extend(inst, fast, tri)
             fast = extend_frontier(inst, fast)
-            assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
+            assert weighted_ids(fast) == ref
 
     @pytest.mark.parametrize("seed", [13, 77])
     def test_fast_path_matches_reference_decimal_weights(self, seed):
@@ -474,7 +502,7 @@ class TestExtendFrontier:
         while fast.length < inst.n:
             ref = reference_extend(inst, fast, tri)
             fast = extend_frontier(inst, fast)
-            assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
+            assert weighted_ids(fast) == ref
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_beam_wider_than_every_pool(self, n):
@@ -485,7 +513,7 @@ class TestExtendFrontier:
         while fast.length < inst.n:
             ref = reference_extend(inst, fast, tri)
             fast = extend_frontier(inst, fast)
-            assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
+            assert weighted_ids(fast) == ref
 
     def test_last_class_overshoots_the_beam(self):
         # cycle 1-2-3-4 in K6, every edge 10 but w(1,5) = w(2,5) = 1: apex 5
@@ -499,7 +527,7 @@ class TestExtendFrontier:
         keys = np.array([[1, 3, 6, 10]], dtype=np.uint8)
         frontier = Frontier(walk, keys, np.array([40.0]), beam=2, m=inst.m)
         nxt = extend_frontier(inst, frontier)
-        got = [(c.weight, c.edges.ids()) for c in nxt.candidates]
+        got = weighted_ids(nxt)
         assert [weight for weight, _ in got] == [32.0, 41.0, 41.0]
         assert got == reference_extend(inst, frontier, triangles(inst))
 
@@ -511,7 +539,7 @@ class TestExtendFrontier:
         while fast.length < inst.n:
             ref = reference_extend(inst, fast, tri)
             fast = extend_frontier(inst, fast)
-            assert [(c.weight, c.edges.ids()) for c in fast.candidates] == ref
+            assert weighted_ids(fast) == ref
 
     def test_builds_candidates_only_when_read(self, monkeypatch):
         # a round keeps its children as arrays; solve builds no candidate
@@ -532,26 +560,25 @@ class TestExtendFrontier:
         tri = triangles(k6)
         while frontier.length < 6:
             best = None
-            for cand in frontier.candidates:
-                zc = cand.as_cycle()
+            for zc in frontier.candidates:
                 for t in tri:
                     if is_touching(zc, t):
-                        w = sum(k6.edge_weight(e) for e in cand.edges ^ t.edges)
+                        w = sum(k6.edge_weight(e) for e in zc.edges ^ t.edges)
                         best = w if best is None else min(best, w)
             frontier = extend_frontier(k6, frontier)
             assert frontier.weight == best
 
 
-def reference_table(inst, cands):
+def reference_table(inst, frontier):
     """Each candidate's insertion-cost block, one cell at a time."""
     w = inst.weights
     blocks = []
-    for c in cands:
-        walk = [v - 1 for v in c.order + c.order[:1]]
-        outs = [o for o in range(inst.n) if o + 1 not in c.order]
+    for weight, _, order in frontier_rows(frontier):
+        walk = [v - 1 for v in order + order[:1]]
+        outs = [o for o in range(inst.n) if o + 1 not in order]
         blocks.append(
             [
-                [c.weight + ((w[u, o] + w[v, o]) - w[u, v]) for o in outs]
+                [weight + ((w[u, o] + w[v, o]) - w[u, v]) for o in outs]
                 for u, v in zip(walk, walk[1:])
             ]
         )
@@ -571,8 +598,9 @@ class TestInsertionTable:
         cells = len(cands) * (length + 1) * (inst.n - length)
         assert cells > heuristic._GATHER_CELLS
         walks, outs, vals = heuristic._insertion_table(inst, frontier)
-        assert np.array_equal(walks[:, :-1] + 1, [c.order for c in cands])
-        assert vals.tobytes() == reference_table(inst, cands).tobytes()
+        orders = [walk for _, _, walk in frontier_rows(frontier)]
+        assert np.array_equal(walks[:, :-1] + 1, orders)
+        assert vals.tobytes() == reference_table(inst, frontier).tobytes()
 
 
 def reference_round(inst, frontier):
@@ -693,7 +721,7 @@ class TestSolve:
         assert res.edges.ids() == (1, 3, 7, 8, 9)
         seeds = res.trace.frontier_history[0]
         assert seeds.weight == 29
-        assert seeds.edge_sets[0].ids() == (1, 3, 7, 10)
+        assert seeds.candidates[0].edges.ids() == (1, 3, 7, 10)
 
     def test_k5_heavier_outside_edge(self, k5_e10_40):
         res = solve(k5_e10_40)
@@ -712,7 +740,7 @@ class TestSolve:
         assert res.sequence == (1, 2, 6, 5, 4, 3)
         hist = res.trace.frontier_history
         assert [snap.weight for snap in hist] == [20, 26, 36]
-        assert len(hist[0].edge_sets) == 3
+        assert len(hist[0].candidates) == 3
 
     def test_k3(self):
         inst = random_instance(3, 8, (2, 9))
@@ -721,9 +749,7 @@ class TestSolve:
         assert res.weight == sum(inst.edge_weight(e) for e in range(1, 4))
         # one root row: walk 1-2-3 on edges e1, e2, e3
         (frontier,) = res.trace.frontier_history
-        assert [(c.order, c.ids, c.weight) for c in frontier.candidates] == [
-            ((1, 2, 3), (1, 2, 3), res.weight)
-        ]
+        assert frontier_rows(frontier) == [(res.weight, (1, 2, 3), (1, 2, 3))]
 
     def test_k3_bad_beam(self):
         inst = random_instance(3, 8, (2, 9))
@@ -775,8 +801,8 @@ class TestSolve:
             for snap_a, snap_b in zip(
                 a.trace.frontier_history, b.trace.frontier_history
             ):
-                assert [es.ids() for es in snap_a.edge_sets] == [
-                    es.ids() for es in snap_b.edge_sets
+                assert [c.edges.ids() for c in snap_a.candidates] == [
+                    c.edges.ids() for c in snap_b.candidates
                 ]
 
     def test_beam_solutions_are_valid(self, k6):
@@ -802,9 +828,7 @@ class TestAllTiesIsBeamOne:
         history = zip(a.trace.frontier_history, b.trace.frontier_history, strict=True)
         for fa, fb in history:
             assert fa.beam == fb.beam == 1
-            assert [(c.weight, c.ids, c.order) for c in fa.candidates] == [
-                (c.weight, c.ids, c.order) for c in fb.candidates
-            ]
+            assert frontier_rows(fa) == frontier_rows(fb)
 
     def test_k6(self, k6):
         self.assert_same_solve(k6)

@@ -9,9 +9,11 @@ import pytest
 
 from ringtour import (
     Cycle,
+    CycleKind,
     DomainError,
     GeneralGraph,
     build_hamiltonian,
+    classify,
     deletion_trace,
     isometric_cycles,
     maclane_f1,
@@ -223,6 +225,40 @@ def _cycle_order(g, edge_ids):
     return seq
 
 
+class TestSimpleCycleBuilder:
+    """Every simple Cycle the library builds is the one classify finds."""
+
+    @staticmethod
+    def assert_classified(cycles, graph):
+        for cycle in cycles:
+            found = classify(cycle.edges, graph)
+            assert found.kind is CycleKind.SIMPLE_CYCLE and cycle == found.cycle
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_triangles(self, n):
+        inst = random_instance(n, n)
+        self.assert_classified(triangles(inst), inst)
+
+    @pytest.mark.parametrize("graph_seed", [None, 3, 11, 28, 40])
+    def test_isometric_cycles(self, g1, graph_seed):
+        g = g1 if graph_seed is None else random_graph(9, graph_seed)
+        self.assert_classified(isometric_cycles(g), g)
+
+    @pytest.mark.parametrize("beam", ["all-ties", 2])
+    @pytest.mark.parametrize(
+        "inst",
+        [random_instance(n, n, (1, 100)) for n in (3, 7, 10)]
+        + [random_instance(9, 9, (1, 3)), random_instance(6, 6, (4, 4))],
+        ids=["random-n3", "random-n7", "random-n10", "1..3-n9", "uniform-n6"],
+    )
+    def test_frontier_rows(self, inst, beam):
+        for frontier in solve(inst, beam, trace=True).trace.frontier_history:
+            self.assert_classified(frontier.candidates, inst)
+            rows = zip(frontier.candidates, frontier.walks.tolist(), strict=True)
+            for cycle, walk in rows:
+                assert cycle.vertices == frozenset(walk)
+
+
 class TestPassVectors:
     def test_k5_full_set(self, k5):
         pv = pass_vectors(triangles(k5))
@@ -239,6 +275,19 @@ class TestPassVectors:
         pv = pass_vectors([], graph=k5)
         assert pv.p_e == (0,) * 10
         assert pv.p_v == (0,) * 5
+
+    def test_counts_refuse_ids_out_of_range(self, k5):
+        # after deleting c1 and c2, e1 passes once and e10 three times, so
+        # reading index 0 as the last entry would show
+        state, _ = deletion_trace(triangles(k5), [1, 2])[-1]
+        assert (state.edge_count(1), state.edge_count(10)) == (1, 3)
+        assert (state.vertex_count(1), state.vertex_count(5)) == (4, 6)
+        for eid in (0, -1, 11):
+            with pytest.raises(DomainError):
+                state.edge_count(eid)
+        for v in (0, -1, 6):
+            with pytest.raises(DomainError):
+                state.vertex_count(v)
 
     def test_sum_matches_cycle_lengths(self, k6):
         tri = triangles(k6)
