@@ -10,6 +10,7 @@ from .edgesets import (
     Classification,
     Cycle,
     CycleKind,
+    CycleRows,
     EdgeSet,
     classify,
     cycle_weight,
@@ -80,6 +81,7 @@ __all__ = [
     "CompleteInstance",
     "Cycle",
     "CycleKind",
+    "CycleRows",
     "DomainError",
     "EdgeSet",
     "Frontier",

@@ -5,7 +5,7 @@ Every run is summarised in a :class:`RunReport`; ``--format json`` emits it
 verbatim, the default text format mirrors the desk notation (edge sets as
 ``{e1,e3,...}``, tours as ``(v1,v2,...)``).
 
-Exit codes: 0 success, 1 usage error, 2 parse/solve error.
+Exit codes: 0 success, 1 usage error, 2 parse/solve error or out of memory.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -622,6 +618,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (RingtourError, OSError) as exc:
         print(f"ringtour: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"ringtour: error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,9 +8,9 @@ for large instances.  All values are immutable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -164,6 +164,28 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+class CycleRows(Sequence):
+    """Simple cycles kept as rows of flat arrays; item k builds cycle k alone.
+
+    Row k is the slice ``offsets[k]:offsets[k+1]`` of ``edges`` (its edge
+    ids) and ``vertices`` (its vertices, in the order its
+    :class:`Cycle` keeps them), in the ``m`` edges of the ambient graph.
+    ``len`` reads ``offsets``, and no built cycle is kept.
+    """
+
+    def __init__(self, edges, vertices, offsets, m: int):
+        self.edges, self.vertices, self.offsets, self.m = edges, vertices, offsets, m
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> Cycle:
+        k = range(len(self))[k]
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        ids, vertices = self.edges[lo:hi].tolist(), self.vertices[lo:hi].tolist()
+        return Cycle.simple_cycle(ids, vertices, self.m)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ apex, and :func:`tour_result` replays the winning row's lineage into the
 tour and its trace steps.  :func:`~ringtour.hamilton.build_hamiltonian`
 records the same lineage and goes through the same replay.  A cycle
 enters a frontier only as array rows, and leaves it as the algebra's
-:class:`~ringtour.edgesets.Cycle` only when the frontier's ``candidates``
-are read.
+:class:`~ringtour.edgesets.Cycle` only as an item of the frontier's
+``candidates``, a row view that builds the cycles it is asked for.
 
 Beam policy: a beam width B keeps the B cheapest candidates of each round
 plus every candidate tied at the cutoff.  The default "all-ties" is width
@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .edgesets import Cycle, EdgeSet
+from .edgesets import CycleRows, EdgeSet
 from .errors import DomainError
 from .graphs import CompleteInstance, edge_id_table
 from .isocycles import triangle_count, triangle_index
@@ -140,9 +140,10 @@ class Frontier:
     weight), but no walks or keys.
 
     The arrays are the only way in, and a row's weight, walk and ids are
-    read off them.  ``candidates`` builds every row's simple
-    :class:`~ringtour.edgesets.Cycle` (in the ``m`` edges of K_n) when one
-    is first indexed or iterated; its ``len`` builds none.
+    read off them.  ``candidates`` is a
+    :class:`~ringtour.edgesets.CycleRows` view of ``keys`` and ``walks``
+    (in the ``m`` edges of K_n): item r builds row r's simple
+    :class:`~ringtour.edgesets.Cycle`, its vertices in walk order.
     """
 
     def __init__(self, walks, keys, weights, beam, m, root=None, rounds=()):
@@ -150,11 +151,11 @@ class Frontier:
         self.length = walks.shape[1]
         self.beam, self.m = beam, m
         self._root, self._rounds = root, rounds
-        self._built: tuple[Cycle, ...] | None = None
 
     @property
-    def candidates(self) -> Sequence[Cycle]:
-        return _Candidates(self)
+    def candidates(self) -> CycleRows:
+        offsets = np.arange(0, self.keys.size + 1, self.length)
+        return CycleRows(self.keys.ravel(), self.walks.ravel(), offsets, self.m)
 
     @property
     def weight(self) -> float:
@@ -172,27 +173,6 @@ class Frontier:
             float(root.weights[row]),
             tuple(reversed(growths)),
         )
-
-
-class _Candidates(Sequence):
-    """A frontier's rows as cycles, all built on the first item read.
-
-    The built tuple is kept on the frontier, which holds no reference back,
-    so a frontier is freed as soon as the round after it is done with it.
-    """
-
-    def __init__(self, frontier: Frontier):
-        self._frontier = frontier
-
-    def __len__(self) -> int:
-        return len(self._frontier.weights)
-
-    def __getitem__(self, k):
-        f = self._frontier
-        if f._built is None:
-            rows = zip(f.keys.tolist(), f.walks.tolist())
-            f._built = tuple(Cycle.simple_cycle(ids, walk, f.m) for ids, walk in rows)
-        return f._built[k]
 
 
 def tour_result(

@@ -9,9 +9,9 @@ BFS distance along the cycle.
 Either way the result is an :class:`IsometricCycleSet`: flat arrays of edge
 ids and vertices cut into cycles by one offsets array.  Pass vectors and
 deletion traces count over those arrays with numpy, so neither builds a
-:class:`~ringtour.edgesets.Cycle`; read as objects, the cycles come from
-:meth:`Cycle.simple_cycle <ringtour.edgesets.Cycle.simple_cycle>`, as a
-frontier's rows do.
+:class:`~ringtour.edgesets.Cycle`.  The set is a
+:class:`~ringtour.edgesets.CycleRows` view, as a frontier's rows are:
+reading cycle k builds that one cycle and keeps nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .edgesets import Cycle
+from .edgesets import Cycle, CycleRows
 from .errors import DomainError
 from .graphs import CompleteInstance, GeneralGraph, edge_id_table
 
@@ -46,7 +46,7 @@ def triangle_index(n: int, a: int, b: int, c: int) -> int:
     )
 
 
-class IsometricCycleSet:
+class IsometricCycleSet(CycleRows):
     """Deterministically ordered isometric cycles of one graph, as arrays.
 
     Cycle k (1-based) is the slice ``offsets[k-1]:offsets[k]`` of both
@@ -55,44 +55,28 @@ class IsometricCycleSet:
     arrays are read-only int64; ``offsets`` has one entry more than there
     are cycles and starts at 0.
 
-    ``len`` reads ``offsets``.  ``cycles``, iteration and :meth:`cycle`
-    build one :class:`~ringtour.edgesets.Cycle` per cycle on first read
-    and keep them.
+    As a :class:`~ringtour.edgesets.CycleRows` view, item k - 1 and
+    :meth:`cycle` k build cycle k alone; ``cycles`` builds them all.
     """
 
     def __init__(
         self, edges, vertices, offsets, graph: CompleteInstance | GeneralGraph
     ):
-        self.edges, self.vertices, self.offsets = (
-            np.asarray(a, dtype=np.int64) for a in (edges, vertices, offsets)
-        )
-        for a in (self.edges, self.vertices, self.offsets):
+        arrays = [np.asarray(a, dtype=np.int64) for a in (edges, vertices, offsets)]
+        for a in arrays:
             a.setflags(write=False)
+        super().__init__(*arrays, graph.m)
         self.graph = graph
-        self._built: tuple[Cycle, ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
 
     @property
     def cycles(self) -> tuple[Cycle, ...]:
-        if self._built is None:
-            ids, verts = self.edges.tolist(), self.vertices.tolist()
-            cuts = self.offsets.tolist()
-            self._built = tuple(
-                Cycle.simple_cycle(ids[lo:hi], verts[lo:hi], self.graph.m)
-                for lo, hi in zip(cuts, cuts[1:])
-            )
-        return self._built
-
-    def __iter__(self):
-        return iter(self.cycles)
+        return tuple(self)
 
     def cycle(self, k: int) -> Cycle:
         """1-based accessor matching the c_k naming used in reports."""
         if not (1 <= k <= len(self)):
             raise DomainError(f"cycle index {k} out of range 1..{len(self)}")
-        return self.cycles[k - 1]
+        return self[k - 1]
 
 
 def triangles(inst: CompleteInstance) -> IsometricCycleSet:

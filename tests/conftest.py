@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ringtour import CompleteInstance, GeneralGraph
+from ringtour import CompleteInstance, Cycle, GeneralGraph
 
 # K4: w(1,2)=10 w(1,3)=5 w(1,4)=9 w(2,3)=6 w(2,4)=9 w(3,4)=3
 K4_MATRIX = [
@@ -98,3 +98,17 @@ def k6():
 @pytest.fixture(scope="session")
 def g1():
     return GeneralGraph(10, G1_EDGES)
+
+
+@pytest.fixture
+def built_cycles(monkeypatch):
+    """A list that grows by one per Cycle built from now on."""
+    built = []
+    init = Cycle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cycle, "__init__", counting_init)
+    return built

@@ -39,6 +39,13 @@ def test_candidate_constructors_are_gone():
         ringtour.Frontier(candidates=(), length=3, beam=1)
 
 
+def test_cycle_row_caches_are_gone(k6):
+    # frontier rows and cycle sets are CycleRows views that keep no cycle
+    assert not hasattr(ringtour.heuristic, "_Candidates")
+    assert not hasattr(ringtour.seed_frontier(k6), "_built")
+    assert not hasattr(ringtour.triangles(k6), "_built")
+
+
 def test_frontier_history_holds_frontiers(k6):
     hist = ringtour.solve(k6, trace=True).trace.frontier_history
     assert all(isinstance(f, ringtour.Frontier) for f in hist)

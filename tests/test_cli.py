@@ -324,6 +324,18 @@ class TestUsageAndErrors:
         assert code == 2
         assert err.startswith("ringtour: error: cannot read")
 
+    def test_out_of_memory(self, capsys, monkeypatch, k4_file):
+        # numpy's allocation failure is a MemoryError; none is made for real
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        code, out, err = run_cli(capsys, "solve", "--matrix", str(k4_file))
+        assert (code, out) == (2, "")
+        assert err == (
+            "ringtour: error: out of memory: Unable to allocate 3.00 GiB for an array\n"
+        )
+
     def test_help(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
@@ -498,7 +510,7 @@ class TestBenchCommand:
 
 
 class TestRunReport:
-    def test_round_trip(self):
+    def test_to_json_bytes(self):
         report = RunReport(
             command="solve",
             instance={"n": 6, "kind": "matrix", "path": "k6.txt"},
@@ -507,4 +519,31 @@ class TestRunReport:
             timing_ms=1.25,
             trace=None,
         )
-        assert RunReport.from_json(report.to_json()) == report
+        text = report.to_json()
+        assert json.loads(text) == vars(report)
+        # keys sorted, two-space indent
+        assert text == """{
+  "command": "solve",
+  "instance": {
+    "kind": "matrix",
+    "n": 6,
+    "path": "k6.txt"
+  },
+  "params": {
+    "beam": "all-ties",
+    "format": "json"
+  },
+  "results": {
+    "tour": [
+      1,
+      2,
+      6,
+      5,
+      4,
+      3
+    ],
+    "weight": 36.0
+  },
+  "timing_ms": 1.25,
+  "trace": null
+}"""

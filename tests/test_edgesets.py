@@ -8,13 +8,19 @@ import pytest
 
 from ringtour import (
     CycleKind,
+    CycleRows,
     DomainError,
     EdgeSet,
+    IsometricCycleSet,
     classify,
     cycle_weight,
     intersect,
+    isometric_cycles,
     obod,
+    random_instance,
     ring_sum,
+    seed_frontier,
+    solve,
     triangles,
     union,
 )
@@ -182,3 +188,53 @@ class TestObod:
                     assert res.cycle.vertices == a.vertices | b.vertices
                     count += 1
         assert count > 0
+
+
+# Each maker takes request.getfixturevalue, so a view may start from a fixture.
+CYCLE_ROW_VIEWS = {
+    "seed-frontier": lambda get: seed_frontier(random_instance(8, 2), 4).candidates,
+    "grown-frontier": lambda get: solve(random_instance(9, 3, (1, 3)), 3, trace=True)
+    .trace.frontier_history[2]
+    .candidates,
+    "k6-triangles": lambda get: triangles(get("k6")),
+    "g1-isometric": lambda get: isometric_cycles(get("g1")),
+}
+
+
+class TestCycleRows:
+    @pytest.fixture(params=sorted(CYCLE_ROW_VIEWS))
+    def view(self, request, built_cycles):
+        view = CYCLE_ROW_VIEWS[request.param](request.getfixturevalue)
+        built_cycles.clear()  # solve builds its tour's cycles
+        return view
+
+    def test_len_builds_nothing(self, view, built_cycles):
+        assert isinstance(view, CycleRows)
+        assert len(view) > 2 and built_cycles == []
+
+    def test_item_builds_that_cycle_alone(self, view, built_cycles):
+        rows = tuple(view)
+        assert len(built_cycles) == len(rows) == len(view)
+        for k in (0, len(view) // 2, len(view) - 1, -1, -len(view)):
+            built_cycles.clear()
+            assert view[k] == rows[k]
+            assert len(built_cycles) == 1
+
+    def test_first_of_iter_builds_one(self, view, built_cycles):
+        assert next(iter(view)) == view[0]
+        assert len(built_cycles) == 2
+
+    def test_index_past_either_end(self, view, built_cycles):
+        for k in (len(view), -len(view) - 1):
+            with pytest.raises(IndexError):
+                view[k]
+        assert built_cycles == []
+
+    @pytest.mark.parametrize("view", ["g1-isometric", "k6-triangles"], indirect=True)
+    def test_one_based_accessor_keeps_domain_error(self, view, built_cycles):
+        assert isinstance(view, IsometricCycleSet)
+        assert view.cycle(len(view)) == view[-1]
+        for k in (0, len(view) + 1):
+            with pytest.raises(DomainError):
+                view.cycle(k)
+        assert len(built_cycles) == 2

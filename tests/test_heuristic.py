@@ -11,7 +11,6 @@ import pytest
 
 from ringtour import (
     CompleteInstance,
-    Cycle,
     CycleKind,
     DomainError,
     EdgeSet,
@@ -148,19 +147,6 @@ def decimal_instance(n, seed):
         for j in range(i + 1, n):
             w[i, j] = w[j, i] = rng.randint(1, 100) / 10
     return CompleteInstance(w)
-
-
-def count_candidates(monkeypatch):
-    """A list that grows by one per Cycle built from now on."""
-    built = []
-    init = Cycle.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Cycle, "__init__", counting_init)
-    return built
 
 
 def frontier_rows(frontier):
@@ -302,17 +288,16 @@ class TestSeedFrontier:
             for weight, _, walk in frontier_rows(seed_frontier(inst, beam)):
                 assert weight == min(quad_cycles(inst, walk).weights)
 
-    def test_builds_no_candidate_per_listed_seed(self, monkeypatch):
+    def test_builds_no_candidate_per_listed_seed(self, built_cycles):
         # beam 400 has no diagonal cut at n = 40, so every quad minimum is
         # listed; only the kept seeds become candidates, and only when read
-        built = count_candidates(monkeypatch)
         frontier = seed_frontier(decimal_instance(40, 40), beam=400)
         size = len(frontier.candidates)
-        assert size >= 400 and built == []
+        assert size >= 400 and built_cycles == []
         assert [c.edges.ids() for c in frontier.candidates] == [
             tuple(ids) for ids in frontier.keys.tolist()
         ]
-        assert len(built) == size
+        assert len(built_cycles) == size
 
     @pytest.mark.parametrize("width", [1, 2, 7])
     @pytest.mark.parametrize(
@@ -541,18 +526,17 @@ class TestExtendFrontier:
             fast = extend_frontier(inst, fast)
             assert weighted_ids(fast) == ref
 
-    def test_builds_candidates_only_when_read(self, monkeypatch):
+    def test_builds_candidates_only_when_read(self, built_cycles):
         # a round keeps its children as arrays; solve builds no candidate
-        built = count_candidates(monkeypatch)
         inst = lattice_instance(3, 4)
         solve(inst, 1)
-        assert len(built) <= inst.n
-        built.clear()
+        assert len(built_cycles) <= inst.n
+        built_cycles.clear()
         frontier = seed_frontier(inst)
         while frontier.length < inst.n:
             frontier = extend_frontier(inst, frontier)
             assert len(frontier.candidates) > 0
-        assert built == []
+        assert built_cycles == []
 
     def test_reported_minimum_is_true_minimum(self, k6):
         # re-scan every (candidate x touching triangle) pair by brute force
