@@ -5,18 +5,15 @@ and the bitmask subset dynamic program (n <= 20).  Both return the exact
 optimum; enumeration also counts how many distinct undirected tours attain
 it.  Sizes above the caps fail fast rather than attempt infeasible runs.
 
-The subset dynamic program reads only subsets one element smaller, so it
-runs one popcount layer at a time: for each subset size and end vertex, one
-gather, add and argmin over every subset of that size holding the vertex.
-Its table takes 2^(n-1)·(n-1)·8 bytes, 80 MB at the n = 20 cap.
+The subset dynamic program keeps one end-by-subset table per popcount
+layer and fills it one end vertex at a time with a gather, add and min.
+It keeps no parent pointers: the path is recomputed from the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
-from math import factorial
 
 import numpy as np
 
@@ -44,11 +41,14 @@ def _perm_rows(k: int) -> np.ndarray:
     Prepending vertex 0 turns each row into one undirected tour of K_{k+1},
     each counted exactly once, already in canonical orientation.
     """
-    rows = np.fromiter(
-        chain.from_iterable(permutations(range(k))),
-        dtype=np.int16,
-        count=k * factorial(k),
-    ).reshape(factorial(k), k)
+    rows = np.zeros((1, 0), dtype=np.int16)  # the one permutation of nothing
+    for m in range(1, k + 1):
+        # block f: f first, then each permutation of the other m - 1 values
+        out = np.empty((m * rows.shape[0], m), dtype=np.int16)
+        for f, block in enumerate(np.split(out, m)):
+            block[:, 0] = f
+            np.add(rows, rows >= f, out=block[:, 1:])
+        rows = out
     if k >= 2:
         rows = rows[rows[:, 0] < rows[:, -1]]
     return rows
@@ -80,16 +80,19 @@ def brute_force(inst: CompleteInstance) -> OracleResult:
 def held_karp(inst: CompleteInstance) -> OracleResult:
     """Subset DP over {v2..vn} with v1 fixed; O(n^2 2^n) time.
 
-    ``dp[S, j]`` is the cheapest path from v1 through the subset S ending
-    at j in S: the minimum over i of ``dp[S - {j}, i] + w(i, j)``, with the
-    first minimising i kept as ``parent[S, j]``.  Subsets are taken one
-    popcount layer at a time and, within a layer, one end vertex j at a
-    time, so each step is one gather, add and argmin over every subset of
-    that size holding j.  ``dp`` takes 2^(n-1)·(n-1)·8 bytes (80 MB at
-    n = 20).
+    The cheapest path from v1 through a subset S ending at j in S is the
+    minimum over i of its cost through ``S - {j}`` ending at i, plus
+    ``w(i, j)``.  Layer s holds these costs for the size-s subsets as one
+    (n-1, C(n-1, s)) table: a row per end (inf for an end outside the
+    subset), a column per subset in ascending mask order.  Each (layer,
+    end) step is one gather of the previous layer's columns, one add and
+    one min; the tables take 2^(n-1)·(n-1)·8 bytes in all.
 
-    The optimal-tour count is taken from :func:`brute_force` when n <= 10
-    and reported as unknown otherwise.
+    The path is walked back from the full set, taking as predecessor the
+    first i whose sum reproduces the table entry (the first minimiser),
+    and the optimum is its weight summed in DP order, so a 0.0 / -0.0 tie
+    cannot flip its sign.  The optimal-tour count is taken from
+    :func:`brute_force` when n <= 10 and reported as unknown otherwise.
     """
     n = inst.n
     if not (3 <= n <= HELD_KARP_MAX_N):
@@ -99,40 +102,35 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
     w = inst.weights
     k = n - 1  # vertices 1..n-1 (0-based), relative to fixed vertex 0
     wsub = w[1:, 1:]
-    full = 1 << k
-    dp = np.full((full, k), np.inf)
-    parent = np.full((full, k), -1, dtype=np.int8)
-    for j in range(k):
-        dp[1 << j, j] = w[0, j + 1]
-
-    masks = np.arange(full, dtype=np.int32)
-    sizes = np.zeros(full, dtype=np.int8)  # popcounts; np.bitwise_count needs numpy 2
-    for j in range(k):
-        sizes += (masks >> j) & 1
+    masks = np.arange(1 << k, dtype=np.int32)
+    sizes = sum((masks >> j) & 1 for j in range(k))  # popcounts
+    rank = np.empty(1 << k, dtype=np.int32)  # column of each subset in its layer
+    rank[1 << np.arange(k)] = np.arange(k)
+    layers = [np.full((k, k), np.inf)]  # layers[s - 1] holds the size-s subsets
+    np.fill_diagonal(layers[0], w[0, 1:])
     for size in range(2, k + 1):
-        layer = masks[sizes == size]
+        subsets = masks[sizes == size]
+        rank[subsets] = np.arange(subsets.size)
+        nxt = np.full((k, subsets.size), np.inf)
         for j in range(k):
-            ms = layer[(layer >> j) & 1 == 1]
-            cost = dp[ms ^ (1 << j)]  # row t: costs ending anywhere in ms[t]\{j}
-            cost += wsub[:, j]
-            best = np.argmin(cost, axis=1)
-            dp[ms, j] = cost[np.arange(ms.size), best]
-            parent[ms, j] = best
+            rows = np.flatnonzero((subsets >> j) & 1)
+            # column t: costs of reaching subsets[rows[t]] via each end i
+            cost = np.take(layers[-1], rank[subsets[rows] ^ (1 << j)], axis=1)
+            cost += wsub[:, j, None]
+            nxt[j, rows] = cost.min(axis=0)
             del cost  # so the next gather does not coexist with this block
+        layers.append(nxt)
 
-    closing = dp[full - 1] + w[1:, 0]
-    j = int(np.argmin(closing))
-    optimum = float(closing[j])
-
-    path = []
-    mask = full - 1
-    while j >= 0:
-        path.append(j + 2)  # back to 1-based vertex ids
-        pj = int(parent[mask, j])
+    mask = (1 << k) - 1
+    path = [int(np.argmin(layers[-1][:, 0] + w[1:, 0]))]
+    for size in range(k, 1, -1):
+        j = path[-1]
+        reach = layers[size - 2][:, rank[mask ^ (1 << j)]] + wsub[:, j]
+        path.append(int(np.argmax(reach == layers[size - 1][j, rank[mask]])))
         mask ^= 1 << j
-        j = pj if mask else -1
-    path.reverse()
-    seq = _canonical_tour((1, *path))
+    ids = [0, *(v + 1 for v in reversed(path)), 0]
+    optimum = float(np.add.accumulate(w[ids[:-1], ids[1:]])[-1])  # in DP order
+    seq = _canonical_tour(tuple(v + 1 for v in ids[:-1]))
 
     count = brute_force(inst).optimal_count if n <= BRUTE_FORCE_MAX_N else None
     return OracleResult(optimum=optimum, tour=seq, optimal_count=count, method="dp")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -83,12 +84,18 @@ def reference_held_karp(inst):
 def _sweep_instance(n, weights, seed):
     if weights == "tenths":
         return CompleteInstance(random_instance(n, seed, (1, 100)).weights / 10)
+    if weights == "-0":
+        return CompleteInstance(np.full((n, n), -0.0))
+    if weights == "+-0":  # each edge's zero gets a seeded sign
+        signs = random_instance(n, seed, (0, 1)).weights
+        return CompleteInstance(np.where(signs == 1, -0.0, 0.0))
     lo, hi = map(int, weights.split(".."))
     return random_instance(n, seed, (lo, hi))
 
 
 # Narrow and uniform weights tie often, so the first-index argmin decides
-# the parent pointers; tenths sum inexactly, so the float sums must match.
+# the parent pointers; tenths sum inexactly, so the float sums must match;
+# signed zeros tie 0.0 with -0.0, so the optimum's sign must match too.
 HK_REFERENCE_CASES = (
     [
         (n, weights, seed)
@@ -98,7 +105,9 @@ HK_REFERENCE_CASES = (
     ]
     + [(n, "4..4", 1) for n in range(3, 15)]
     + [(n, "tenths", seed) for n in (5, 8, 11, 14) for seed in (1, 2)]
-    + [(15, "1..3", 1), (16, "1..100", 1)]
+    + [(n, "-0", 1) for n in range(4, 9)]
+    + [(n, "+-0", seed) for n in range(4, 9) for seed in range(1, 21)]
+    + [(15, "1..3", 1), (16, "1..100", 1), (17, "1..100", 1)]
 )
 
 
@@ -151,10 +160,13 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force(random_instance(11, 1, (1, 9)))
 
-    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("k", range(10))
     def test_perm_rows_in_permutation_order(self, k):
-        rows = [p for p in permutations(range(k)) if p[0] < p[-1]]
-        assert _perm_rows(k).tolist() == [list(p) for p in rows]
+        rows = [p for p in permutations(range(k)) if k < 2 or p[0] < p[-1]]
+        got = _perm_rows(k)
+        assert got.dtype == np.int16
+        assert got.shape == ((math.factorial(k) // 2, k) if k >= 2 else (1, k))
+        assert got.tolist() == [list(p) for p in rows]
 
 
 class TestHeldKarp:
@@ -210,7 +222,22 @@ class TestHeldKarp:
     @pytest.mark.parametrize("n,weights,seed", HK_REFERENCE_CASES)
     def test_matches_reference(self, n, weights, seed):
         inst = _sweep_instance(n, weights, seed)
-        assert held_karp(inst) == reference_held_karp(inst)
+        got, want = held_karp(inst), reference_held_karp(inst)
+        assert got == want
+        assert repr(got.optimum) == repr(want.optimum)  # 0.0 == -0.0
+
+    def test_memory_is_the_tables(self):
+        # The layer tables hold (n-1)·2^(n-1) floats; a cache kept beside
+        # them, such as every step's gather index, pushes the peak past 1.25.
+        n = 16
+        inst = random_instance(n, 1, (1, 100))
+        tracemalloc.start()
+        try:
+            held_karp(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (n - 1) * 2 ** (n - 1) * 8
 
     def test_at_the_cap(self):
         inst = random_instance(20, 5, (1, 100))
