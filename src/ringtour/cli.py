@@ -6,11 +6,16 @@ verbatim, the default text format mirrors the desk notation (edge sets as
 ``{e1,e3,...}``, tours as ``(v1,v2,...)``).
 
 Exit codes: 0 success, 1 usage error, 2 parse/solve error or out of memory.
+
+Each subcommand is declared once, in ``_COMMANDS``: its handler, its text
+renderer and its arguments.  :func:`build_parser` is cached, so one
+process builds the parser once however often it calls :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,6 +32,7 @@ from .graphs import (
     InstanceSource,
     edge_id,
     load_instance,
+    random_instance,
 )
 from .hamilton import build_hamiltonian
 from .heuristic import op_count_estimate, parse_beam, solve
@@ -70,30 +76,6 @@ def _fmt_edges(ids) -> str:
     return "{" + ",".join(f"e{e}" for e in ids) + "}"
 
 
-def _source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--matrix", metavar="PATH", help="full-matrix instance file")
-    p.add_argument("--upper", metavar="PATH", help="upper-row instance file")
-    p.add_argument("--coords", metavar="PATH", help="coordinate instance file")
-    p.add_argument(
-        "--random",
-        nargs="+",
-        metavar="K=V",
-        help="random instance, e.g. --random n=8 seed=7 lo=1 hi=100 "
-        f"(n <= {RANDOM_MAX_N})",
-    )
-
-
-def _common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", metavar="PATH", help="write output to a file")
-
-
-def _beam_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", default="all-ties",
-                   help="frontier width B: keep the B cheapest cycles per round "
-                   "plus cutoff ties; 'all-ties' (the default) is B = 1")
-
-
 def _parse_random_spec(parser: argparse.ArgumentParser, tokens) -> dict:
     fields: dict[str, int] = {}
     for token in tokens:
@@ -105,6 +87,8 @@ def _parse_random_spec(parser: argparse.ArgumentParser, tokens) -> dict:
             key, _, val = part.partition("=")
             if key not in ("n", "seed", "lo", "hi"):
                 parser.error(f"unknown --random key {key!r}")
+            if key in fields:
+                parser.error(f"--random repeats key {key!r}")
             try:
                 fields[key] = int(val)
             except ValueError:
@@ -125,22 +109,16 @@ def _source_from_args(parser: argparse.ArgumentParser, args) -> InstanceSource:
                      "(--matrix | --upper | --coords | --random)")
     kind = picked[0]
     if kind == "random":
-        spec = _parse_random_spec(parser, args.random)
-        return InstanceSource(
-            kind="random",
-            n=spec["n"],
-            seed=spec["seed"],
-            lo=spec.get("lo", 1),
-            hi=spec.get("hi", 100),
-        )
+        # the spec's keys are InstanceSource fields, which default lo and hi
+        return InstanceSource(kind="random", **_parse_random_spec(parser, args.random))
     return InstanceSource(kind=kind, path=Path(getattr(args, kind)))
 
 
-def _check_beam(parser: argparse.ArgumentParser, beam: str) -> None:
-    try:
-        parse_beam(beam)
-    except DomainError as exc:
-        parser.error(str(exc))
+def _load(parser: argparse.ArgumentParser, args) -> tuple[CompleteInstance, dict]:
+    """The instance the arguments name, and its description for the report."""
+    source = _source_from_args(parser, args)
+    inst = load_instance(source)
+    return inst, {"n": inst.n, **source.describe()}
 
 
 def _tour_payload(res: TourResult) -> dict:
@@ -216,15 +194,13 @@ def _render_solve_text(report: RunReport) -> str:
 
 
 def cmd_solve(parser, args) -> RunReport:
-    _check_beam(parser, args.beam)
-    source = _source_from_args(parser, args)
-    inst = load_instance(source)
+    inst, instance = _load(parser, args)
     t0 = time.perf_counter()
     res = solve(inst, beam=args.beam, trace=args.trace)
     ms = (time.perf_counter() - t0) * 1e3
     return RunReport(
         command="solve",
-        instance={"n": inst.n, **source.describe()},
+        instance=instance,
         params={"beam": args.beam, "format": args.format},
         results=_tour_payload(res),
         timing_ms=ms,
@@ -233,9 +209,7 @@ def cmd_solve(parser, args) -> RunReport:
 
 
 def cmd_compare(parser, args) -> RunReport:
-    _check_beam(parser, args.beam)
-    source = _source_from_args(parser, args)
-    inst = load_instance(source)
+    inst, instance = _load(parser, args)
     if inst.n > HELD_KARP_MAX_N:
         raise RingtourError(
             f"compare needs the exact oracle, which caps at n={HELD_KARP_MAX_N}"
@@ -250,7 +224,7 @@ def cmd_compare(parser, args) -> RunReport:
         ratio = 1.0 if res.weight == 0 else math.inf
     return RunReport(
         command="compare",
-        instance={"n": inst.n, **source.describe()},
+        instance=instance,
         params={"beam": args.beam, "format": args.format},
         results={
             "optimum": exact.optimum,
@@ -295,25 +269,24 @@ def _instance_to_text(inst: CompleteInstance, encoding: str) -> str:
 
 
 def cmd_gen(parser, args) -> RunReport:
-    source = _source_from_args(parser, args)
-    if source.kind != "random":
+    # usage errors first, so that a bad gen loads and writes nothing
+    if _source_from_args(parser, args).kind != "random":
         parser.error("gen expects a --random source")
     if not args.out:
         parser.error("gen needs --out")
-    inst = load_instance(source)
+    inst, instance = _load(parser, args)
     text = _instance_to_text(inst, args.encoding)
     Path(args.out).write_text(text)
     return RunReport(
         command="gen",
-        instance={"n": inst.n, **source.describe()},
+        instance=instance,
         params={"encoding": args.encoding, "format": args.format},
         results={"written": str(args.out), "m": inst.m},
     )
 
 
 def cmd_cycles(parser, args) -> RunReport:
-    source = _source_from_args(parser, args)
-    inst = load_instance(source)
+    inst, instance = _load(parser, args)
     tri = triangles(inst)
     edges, verts = tri.edges.reshape(-1, 3), tri.vertices.reshape(-1, 3)
     a, b, c = (verts - 1).T
@@ -328,7 +301,7 @@ def cmd_cycles(parser, args) -> RunReport:
     ]
     return RunReport(
         command="cycles",
-        instance={"n": inst.n, **source.describe()},
+        instance=instance,
         params={"format": args.format},
         results={"count": len(rows), "cycles": rows},
     )
@@ -345,8 +318,7 @@ def _render_cycles_text(report: RunReport) -> str:
 
 
 def cmd_maclane(parser, args) -> RunReport:
-    source = _source_from_args(parser, args)
-    inst = load_instance(source)
+    inst, instance = _load(parser, args)
     tri = triangles(inst)
     trace = None
     if args.delete:
@@ -376,7 +348,7 @@ def cmd_maclane(parser, args) -> RunReport:
     }
     return RunReport(
         command="maclane",
-        instance={"n": inst.n, **source.describe()},
+        instance=instance,
         params={"delete": args.delete, "format": args.format},
         results=results,
         trace=trace,
@@ -404,12 +376,11 @@ def _render_maclane_text(report: RunReport) -> str:
 
 
 def cmd_hamiltonian(parser, args) -> RunReport:
-    source = _source_from_args(parser, args)
-    inst = load_instance(source)
+    inst, instance = _load(parser, args)
     res = build_hamiltonian(inst, start_triangle=args.start)
     return RunReport(
         command="hamiltonian",
-        instance={"n": inst.n, **source.describe()},
+        instance=instance,
         params={"start": args.start, "format": args.format},
         results=_tour_payload(res),
         trace=_trace_payload(res),
@@ -450,9 +421,7 @@ def _render_hamiltonian_text(report: RunReport) -> str:
 
 
 def _bench_one(n: int, seed: int, args) -> dict:
-    inst = load_instance(
-        InstanceSource(kind="random", n=n, seed=seed, lo=args.lo, hi=args.hi)
-    )
+    inst = random_instance(n, seed, (args.lo, args.hi))
     t0 = time.perf_counter()
     res = solve(inst, beam=args.beam)
     ms = (time.perf_counter() - t0) * 1e3
@@ -470,7 +439,6 @@ def _loglog_slope(sizes: list[int], medians: list[float]) -> float:
 
 
 def cmd_bench(parser, args) -> RunReport:
-    _check_beam(parser, args.beam)
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     except ValueError:
@@ -528,76 +496,73 @@ def _render_gen_text(report: RunReport) -> str:
     return f"wrote {r['written']} (n={report.instance['n']}, m={r['m']})"
 
 
-_TEXT_RENDERERS = {
-    "solve": _render_solve_text,
-    "compare": _render_compare_text,
-    "gen": _render_gen_text,
-    "cycles": _render_cycles_text,
-    "maclane": _render_maclane_text,
-    "hamiltonian": _render_hamiltonian_text,
-    "bench": _render_bench_text,
-}
+_BEAM = ("--beam", dict(
+    default="all-ties",
+    help="frontier width B: keep the B cheapest cycles per round "
+    "plus cutoff ties; 'all-ties' (the default) is B = 1",
+))
+
+# Each subcommand once: name, help, handler, text renderer, whether it reads
+# an instance source, and the arguments it adds after --format and --out.
+_COMMANDS = (
+    ("solve", "run the ring-sum TSP heuristic", cmd_solve, _render_solve_text, True, (
+        _BEAM,
+        ("--trace", dict(action="store_true",
+                         help="record per-round frontiers in the report")),
+    )),
+    ("compare", "heuristic vs exact oracle", cmd_compare, _render_compare_text, True,
+     (_BEAM,)),
+    ("gen", "write a random instance to a file", cmd_gen, _render_gen_text, True, (
+        ("--encoding", dict(choices=("matrix", "upper"), default="matrix")),
+    )),
+    ("cycles", "list the triangular cycles", cmd_cycles, _render_cycles_text, True, ()),
+    ("maclane", "pass vectors and MacLane functionals", cmd_maclane,
+     _render_maclane_text, True, (
+        ("--delete", dict(metavar="IDS",
+                          help="comma-separated cycle ids to remove, tracing F2")),
+    )),
+    ("hamiltonian", "unweighted touching-triangle build", cmd_hamiltonian,
+     _render_hamiltonian_text, True, (
+        ("--start", dict(type=int, default=None, metavar="K",
+                         help="1-based id of the starting triangle")),
+    )),
+    ("bench", "timing table over random instances", cmd_bench, _render_bench_text,
+     False, (
+        ("--sizes", dict(required=True,
+                         help=f"comma-separated sizes, each <= {RANDOM_MAX_N}")),
+        ("--seeds", dict(type=int, default=3, help="seeds per size")),
+        ("--lo", dict(type=int, default=1)),
+        ("--hi", dict(type=int, default=100)),
+        _BEAM,
+    )),
+)
 
 
-def _render(report: RunReport, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    return _TEXT_RENDERERS[report.command](report)
-
-
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ringtour", description=__doc__)
+    # The last docstring paragraph is for readers of this module, not --help;
+    # under python -OO there is no docstring.
+    description = __doc__ and __doc__.rpartition("\n\n")[0]
+    parser = _Parser(prog="ringtour", description=description)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("solve", help="run the ring-sum TSP heuristic")
-    _source_args(p)
-    _common_args(p)
-    _beam_arg(p)
-    p.add_argument("--trace", action="store_true",
-                   help="record per-round frontiers in the report")
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("compare", help="heuristic vs exact oracle")
-    _source_args(p)
-    _common_args(p)
-    _beam_arg(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("gen", help="write a random instance to a file")
-    _source_args(p)
-    _common_args(p)
-    p.add_argument("--encoding", choices=("matrix", "upper"), default="matrix")
-    p.set_defaults(handler=cmd_gen)
-
-    p = sub.add_parser("cycles", help="list the triangular cycles")
-    _source_args(p)
-    _common_args(p)
-    p.set_defaults(handler=cmd_cycles)
-
-    p = sub.add_parser("maclane", help="pass vectors and MacLane functionals")
-    _source_args(p)
-    _common_args(p)
-    p.add_argument("--delete", metavar="IDS",
-                   help="comma-separated cycle ids to remove, tracing F2")
-    p.set_defaults(handler=cmd_maclane)
-
-    p = sub.add_parser("hamiltonian", help="unweighted touching-triangle build")
-    _source_args(p)
-    _common_args(p)
-    p.add_argument("--start", type=int, default=None, metavar="K",
-                   help="1-based id of the starting triangle")
-    p.set_defaults(handler=cmd_hamiltonian)
-
-    p = sub.add_parser("bench", help="timing table over random instances")
-    _common_args(p)
-    p.add_argument("--sizes", required=True,
-                   help=f"comma-separated sizes, each <= {RANDOM_MAX_N}")
-    p.add_argument("--seeds", type=int, default=3, help="seeds per size")
-    p.add_argument("--lo", type=int, default=1)
-    p.add_argument("--hi", type=int, default=100)
-    _beam_arg(p)
-    p.set_defaults(handler=cmd_bench)
-
+    for name, summary, handler, render, source, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if source:
+            p.add_argument("--matrix", metavar="PATH", help="full-matrix instance file")
+            p.add_argument("--upper", metavar="PATH", help="upper-row instance file")
+            p.add_argument("--coords", metavar="PATH", help="coordinate instance file")
+            p.add_argument(
+                "--random",
+                nargs="+",
+                metavar="K=V",
+                help="random instance, e.g. --random n=8 seed=7 lo=1 hi=100 "
+                f"(n <= {RANDOM_MAX_N})",
+            )
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.add_argument("--out", metavar="PATH", help="write output to a file")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler, render=render)
     return parser
 
 
@@ -605,12 +570,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        if "beam" in args:
+            try:
+                parse_beam(args.beam)
+            except DomainError as exc:
+                parser.error(str(exc))
         report = args.handler(parser, args)
-        text = _render(report, args.format)
-        if args.out and report.command != "gen":
+        text = report.to_json() if args.format == "json" else args.render(report)
+        if args.out and args.cmd != "gen":
             Path(args.out).write_text(text + "\n")
         else:
             print(text)

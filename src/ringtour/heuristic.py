@@ -57,7 +57,8 @@ from .edgesets import CycleRows, EdgeSet
 from .errors import DomainError
 from .graphs import CompleteInstance, edge_id_table
 from .isocycles import triangle_count, triangle_index
-from .tours import TourResult, TourTrace, TraceStep, cycle_vertex_sequence
+from .tours import TourResult, TourTrace, TraceStep, _canonical_tour
+from .tours import cycle_vertex_sequence  # noqa: F401 (perfbench/tracer.py wraps it)
 
 BeamSpec = int | str | None
 
@@ -203,7 +204,7 @@ def tour_result(
         frontier_history=tuple(history) if history is not None else None,
     )
     edges = _walk_edges(inst, walk)
-    seq = cycle_vertex_sequence(edges, inst.endpoints)
+    seq = _canonical_tour(tuple(walk))
     return TourResult(sequence=seq, edges=edges, weight=weight, trace=trace, n=inst.n)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import CompleteInstance
+from .tours import _canonical_tour
 
 BRUTE_FORCE_MAX_N = 10
 HELD_KARP_MAX_N = 20
@@ -134,12 +135,3 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
 
     count = brute_force(inst).optimal_count if n <= BRUTE_FORCE_MAX_N else None
     return OracleResult(optimum=optimum, tour=seq, optimal_count=count, method="dp")
-
-
-def _canonical_tour(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate/flip a tour to start at v1 heading to its smaller neighbour."""
-    i = seq.index(1)
-    seq = seq[i:] + seq[:i]
-    if seq[1] > seq[-1]:
-        seq = (seq[0],) + tuple(reversed(seq[1:]))
-    return seq

@@ -41,6 +41,15 @@ def cycle_vertex_sequence(
     return tuple(seq)
 
 
+def _canonical_tour(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate/flip a tour to start at v1 heading to its smaller neighbour."""
+    i = seq.index(1)
+    seq = seq[i:] + seq[:i]
+    if seq[1] > seq[-1]:
+        seq = (seq[0],) + tuple(reversed(seq[1:]))
+    return seq
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One ring-sum step: the triangle summed in and the running weight."""

@@ -29,6 +29,22 @@ K4_MATRIX_TEXT = """4
 """
 
 
+K5_MATRIX_TEXT = """5
+0 6 10 5 11
+6 0 10 9 7
+10 10 0 9 8
+5 9 9 0 11
+11 7 8 11 0
+"""
+
+
+@pytest.fixture()
+def k5_file(tmp_path):
+    path = tmp_path / "k5.txt"
+    path.write_text(K5_MATRIX_TEXT)
+    return path
+
+
 @pytest.fixture()
 def k6_file(tmp_path):
     path = tmp_path / "k6.txt"
@@ -129,6 +145,16 @@ class TestCompareCommand:
         assert r["ratio"] == 1.0
         assert r["match"] is True
 
+    def test_k6_text(self, capsys, k6_file):
+        code, out, _ = run_cli(capsys, "compare", "--matrix", str(k6_file))
+        assert code == 0
+        assert out.splitlines() == [
+            "optimum   36  (v1,v2,v6,v5,v4,v3)",
+            "heuristic 36  (v1,v2,v6,v5,v4,v3)",
+            "ratio     1.000000",
+            "match     true",
+        ]
+
     def test_random_ratio_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--random", "n=8", "seed=7", "--format", "json"
@@ -161,6 +187,14 @@ class TestGenCommand:
         assert code == code2 == 0
         a, b = json.loads(out_a), json.loads(out_b)
         assert a["results"] == b["results"]
+
+    def test_text_names_the_file(self, capsys, tmp_path):
+        target = tmp_path / "inst.txt"
+        code, out, _ = run_cli(
+            capsys, "gen", "--random", "n=6", "seed=11", "--out", str(target)
+        )
+        assert code == 0
+        assert out == f"wrote {target} (n=6, m=15)\n"
 
     def test_upper_encoding(self, capsys, tmp_path):
         target = tmp_path / "inst_upper.txt"
@@ -232,11 +266,7 @@ class TestCyclesAndMacLane:
         assert r["cycle_count"] == 20
         assert r["p_e"] == [4] * 15
 
-    def test_maclane_deletion_trace(self, capsys, tmp_path):
-        k5_file = tmp_path / "k5.txt"
-        k5_file.write_text(
-            "5\n0 6 10 5 11\n6 0 10 9 7\n10 10 0 9 8\n5 9 9 0 11\n11 7 8 11 0\n"
-        )
+    def test_maclane_deletion_trace(self, capsys, k5_file):
         code, out, _ = run_cli(
             capsys, "maclane", "--matrix", str(k5_file),
             "--delete", "1,6,8,2,4", "--format", "json",
@@ -245,6 +275,20 @@ class TestCyclesAndMacLane:
         payload = json.loads(out)
         assert payload["results"]["f2"] == 60
         assert [e["f2"] for e in payload["trace"][1:]] == [42, 24, 12, 6, 0]
+
+    def test_maclane_deletion_text(self, capsys, k5_file):
+        code, out, _ = run_cli(
+            capsys, "maclane", "--matrix", str(k5_file), "--delete", "1,6,8,2,4"
+        )
+        assert code == 0
+        assert out.splitlines()[4:] == [
+            "F2 60",
+            "- c1: F2 = 42  P_e <2,2,3,3,2,3,3,3,3,3>",
+            "- c6: F2 = 24  P_e <2,2,2,2,2,3,3,3,3,2>",
+            "- c8: F2 = 12  P_e <2,2,2,2,1,3,2,3,2,2>",
+            "- c2: F2 = 6  P_e <1,2,1,2,1,2,2,3,2,2>",
+            "- c4: F2 = 0  P_e <1,1,0,2,1,2,2,2,2,2>",
+        ]
 
     @pytest.mark.parametrize("delete", [None, "1,6,8"])
     def test_maclane_counts_pass_vectors_once(
@@ -363,6 +407,18 @@ class TestUsageAndErrors:
         assert code == 1
         code, _, _ = run_cli(capsys, "solve", "--random", "n=5", "seed=x")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [(("n=4", "seed=1", "seed=2"), "seed"), (("n=4,n=5", "seed=1"), "n")],
+        ids=["seed=1 seed=2", "n=4,n=5"],
+    )
+    def test_repeated_random_key(self, capsys, spec, key):
+        # the later value would win without a word
+        code, out, err = run_cli(capsys, "solve", "--random", *spec)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0].startswith("usage: ringtour")
+        assert err.splitlines()[1:] == [f"ringtour: error: --random repeats key {key!r}"]
 
     def test_bad_beam_is_usage_error(self, capsys):
         # "²".isdigit() holds, but int() does not parse it
@@ -507,6 +563,26 @@ class TestBenchCommand:
         assert code == 0
         assert out.splitlines()[0] == "n,seed,millis,weight"
         assert "# median n=6" in out
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, capsys, k6_file):
+        source = ("--matrix", str(k6_file), "--format", "json")
+        runs = [
+            run_cli(capsys, "solve", *source, "--trace"),
+            run_cli(capsys, "solve", *source),
+            run_cli(capsys, "hamiltonian", *source, "--start", "20"),
+            run_cli(capsys, "hamiltonian", *source),
+        ]
+        assert [code for code, _, _ in runs] == [0] * 4
+        reports = [json.loads(out) for _, out, _ in runs]
+        assert reports[0]["trace"] is not None
+        assert reports[1]["trace"] is None
+        assert reports[2]["trace"][0]["seed_walk"] == [4, 5, 6]
+        assert reports[3]["trace"][0]["seed_walk"] == [1, 2, 3]
 
 
 class TestRunReport:
