@@ -221,7 +221,7 @@ def cmd_compare(parser, args) -> RunReport:
     if exact.optimum > 0:
         ratio = res.weight / exact.optimum
     else:
-        ratio = 1.0 if res.weight == 0 else math.inf
+        ratio = 1.0 if res.weight == 0 else None  # infinite, which JSON cannot say
     return RunReport(
         command="compare",
         instance=instance,
@@ -245,7 +245,7 @@ def _render_compare_text(report: RunReport) -> str:
         [
             f"optimum   {_fmt_num(r['optimum'])}  {_fmt_tour(r['optimal_tour'])}",
             f"heuristic {_fmt_num(r['heuristic'])}  {_fmt_tour(r['heuristic_tour'])}",
-            f"ratio     {r['ratio']:.6f}",
+            f"ratio     {math.inf if r['ratio'] is None else r['ratio']:.6f}",
             f"match     {str(r['match']).lower()}",
         ]
     )

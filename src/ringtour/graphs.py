@@ -265,6 +265,8 @@ def _parse_order(lines: list[tuple[int, str]], path: str) -> int:
         n = int(head[0])
     except ValueError:
         raise ParseError(f"{path}:{k}: vertex count is not an integer: {head[0]!r}") from None
+    if n < 3:
+        raise BadOrderError(f"{path}:{k}: instance needs at least 3 vertices, got {n}")
     return n
 
 

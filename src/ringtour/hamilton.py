@@ -3,8 +3,9 @@
 Starting from one triangle, each round ring-sums in a triangle that shares
 exactly one edge with the current simple cycle and contributes exactly one
 new vertex.  After n-2 triangles the cycle covers all of K_n.  The
-"first found" choice is the touching triangle first in lexicographic
-vertex-triple order.
+"first found" choice, the touching triangle first in lexicographic
+vertex-triple order, is a rule: the smallest uncovered vertex goes into
+the walk edge from the smallest walk vertex to its smaller neighbour.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from .edgesets import Cycle
 from .errors import DomainError
 from .graphs import CompleteInstance
-from .heuristic import Lineage, tour_result
 from .isocycles import triangle_count, triangle_index
-from .tours import TourResult, TraceStep
+from .tours import Lineage, TourResult, TraceStep, tour_result
 
 
 def is_touching(z: Cycle, c: Cycle) -> bool:
@@ -58,30 +58,26 @@ def build_hamiltonian(
 
     Each round sums in the touching triangle first in canonical order.
     Any uncovered vertex can be its apex, and a smaller apex always gives
-    a smaller sorted triple, so the apex is the smallest uncovered vertex
-    and the cycle edge is the one whose triple with it sorts first.
-    Exactly n-2 triangles are summed (the seed included).  Each sum is
-    recorded as the walk position its apex went in after, the same lineage
-    an extension round records, and :func:`~ringtour.heuristic.tour_result`
-    replays it into the tour and a trace step per triangle.
+    a smaller sorted triple, so the apex x is the smallest uncovered
+    vertex.  Its split is the walk edge from the smallest walk vertex s to
+    s's smaller neighbour: a sorted triple starts with min(u, v, x), so if
+    s < x only s's two edges start with s, and if x < s every triple
+    starts with x and goes on as its sorted edge; either way the edge from
+    s to its smaller neighbour sorts first.
+    Exactly n-2 triangles are summed (the seed included).  Each sum after
+    the seed is a (position, apex) growth, as in an extension round, and
+    :func:`~ringtour.tours.tour_result` replays them into the tour.
     """
     n = inst.n
     a, b, c = _triangle_by_index(n, 1 if start_triangle is None else start_triangle)
     w = inst.weight(a, b) + inst.weight(a, c) + inst.weight(b, c)
     step = TraceStep((a, b, c), triangle_index(n, a, b, c), shared_edge=0, weight=w)
-    walk, weight, growths = [a, b, c], w, []
+    walk, growths = [a, b, c], []
     for apex in range(1, n + 1):
         if apex in (a, b, c):
             continue
-        size = len(walk)
-        i = min(
-            range(size),
-            key=lambda k: sorted((walk[k], walk[(k + 1) % size], apex)),
-        )
-        u, v = walk[i], walk[(i + 1) % size]
-        weight = weight + (
-            inst.weight(u, apex) + inst.weight(v, apex) - inst.weight(u, v)
-        )
+        k = walk.index(min(walk))
+        i = k if walk[(k + 1) % len(walk)] < walk[k - 1] else (k - 1) % len(walk)
         walk.insert(i + 1, apex)
-        growths.append((i, apex, weight))
+        growths.append((i, apex))
     return tour_result(inst, Lineage((a, b, c), w, tuple(growths)), start=step)

@@ -11,10 +11,10 @@ between the two ends of one walk edge, as in cheapest insertion.
 A :class:`Frontier` is three arrays, one row per cycle: its closed vertex
 walk, its sorted edge ids (the key that merges duplicates and breaks
 weight ties) and its weight.  Each round also records its lineage, per
-row the parent row, the walk position the apex went in after, and the
-apex, and :func:`tour_result` replays the winning row's lineage into the
-tour and its trace steps.  :func:`~ringtour.hamilton.build_hamiltonian`
-records the same lineage and goes through the same replay.  A cycle
+row the parent row, the walk position the apex went in after and the
+apex; :func:`~ringtour.tours.tour_result` replays it into the tour and
+its trace steps and derives each step's weight, as it does the same
+lineage from :func:`~ringtour.hamilton.build_hamiltonian`.  A cycle
 enters a frontier only as array rows, and leaves it as the algebra's
 :class:`~ringtour.edgesets.Cycle` only as an item of the frontier's
 ``candidates``, a row view that builds the cycles it is asked for.
@@ -45,7 +45,6 @@ children's walks.  A round builds no Python object per child.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -56,8 +55,8 @@ import numpy as np
 from .edgesets import CycleRows, EdgeSet
 from .errors import DomainError
 from .graphs import CompleteInstance, edge_id_table
-from .isocycles import triangle_count, triangle_index
-from .tours import TourResult, TourTrace, TraceStep, _canonical_tour
+from .isocycles import triangle_count
+from .tours import Lineage, TourResult, _walk_edges, tour_result
 from .tours import cycle_vertex_sequence  # noqa: F401 (perfbench/tracer.py wraps it)
 
 BeamSpec = int | str | None
@@ -116,19 +115,6 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
     )
 
 
-class Lineage(NamedTuple):
-    """How one cycle grew: its root walk and weight, then one growth per step.
-
-    Each growth is (i, apex, weight): ``apex`` went in after walk position
-    i, splitting walk edge (walk[i], walk[i+1]), and the cycle weighs
-    ``weight`` after it.
-    """
-
-    walk: tuple[int, ...]
-    weight: float
-    growths: tuple[tuple[int, int, float], ...]
-
-
 class Frontier:
     """Equal-length simple cycles, sorted by (weight, edge ids), as arrays.
 
@@ -136,9 +122,9 @@ class Frontier:
     ``keys[r]`` its sorted edge ids (in the dtype of
     ``edge_id_table``) and ``weights[r]`` its weight; the rows come in
     frontier order.  A grown frontier also keeps its lineage: the ``root``
-    frontier it grew from and, per extension round, four arrays over that
-    round's rows (parent row, walk position the apex went in after, apex,
-    weight), but no walks or keys.
+    frontier it grew from and, per extension round, three arrays over that
+    round's rows (parent row, walk position the apex went in after, apex),
+    but no walks, keys or weights.
 
     The arrays are the only way in, and a row's weight, walk and ids are
     read off them.  ``candidates`` is a
@@ -165,8 +151,8 @@ class Frontier:
     def lineage(self, row: int = 0) -> Lineage:
         """Row ``row``'s growth from its root, read back round by round."""
         growths = []
-        for rows, splits, apexes, weights in reversed(self._rounds):
-            growths.append((int(splits[row]), int(apexes[row]), float(weights[row])))
+        for rows, splits, apexes in reversed(self._rounds):
+            growths.append((int(splits[row]), int(apexes[row])))
             row = int(rows[row])
         root = self._root or self
         return Lineage(
@@ -174,44 +160,6 @@ class Frontier:
             float(root.weights[row]),
             tuple(reversed(growths)),
         )
-
-
-def tour_result(
-    inst: CompleteInstance,
-    lineage: Lineage,
-    history: list[Frontier] | None = None,
-    start: TraceStep | None = None,
-) -> TourResult:
-    """The tour ``lineage`` grows, with its trace replayed growth by growth.
-
-    The trace's steps are ``start``, if given, then one step per growth:
-    the triangle of the apex and the walk edge it split.
-    """
-    walk = list(lineage.walk)
-    steps = [] if start is None else [start]
-    weight = lineage.weight
-    for i, apex, weight in lineage.growths:
-        u, v = walk[i], walk[(i + 1) % len(walk)]
-        tri = tuple(sorted((u, v, apex)))
-        split = inst.edge_id(u, v)
-        steps.append(TraceStep(tri, triangle_index(inst.n, *tri), split, weight))
-        walk.insert(i + 1, apex)
-    trace = TourTrace(
-        seed=_walk_edges(inst, lineage.walk),
-        seed_vertices=lineage.walk,
-        seed_weight=lineage.weight,
-        steps=tuple(steps),
-        frontier_history=tuple(history) if history is not None else None,
-    )
-    edges = _walk_edges(inst, walk)
-    seq = _canonical_tour(tuple(walk))
-    return TourResult(sequence=seq, edges=edges, weight=weight, trace=trace, n=inst.n)
-
-
-def _walk_edges(inst: CompleteInstance, walk: Sequence[int]) -> EdgeSet:
-    """The edge set of the closed walk ``walk``."""
-    ends = zip(walk, [*walk[1:], walk[0]])
-    return EdgeSet.of((inst.edge_id(u, v) for u, v in ends), inst.m)
 
 
 def _wedge_rows(w: np.ndarray, a: int) -> np.ndarray:
@@ -416,7 +364,7 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     pos = np.arange(length + 1)
     children = frontier.walks[rows[:, None], pos - (pos > splits[:, None])]
     children[np.arange(len(rows)), splits + 1] = apexes
-    rounds = frontier._rounds + ((rows, splits, apexes, weights),)
+    rounds = frontier._rounds + ((rows, splits, apexes),)
     root = frontier._root or frontier
     return Frontier(children, keys, weights, frontier.beam, frontier.m, root, rounds)
 

@@ -1,12 +1,15 @@
-"""Tour results and canonical vertex sequences."""
+"""Tour results, canonical sequences, and the lineage replay deriving step weights."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .edgesets import EdgeSet
 from .errors import DomainError
+from .graphs import CompleteInstance, edge_endpoints
+from .isocycles import triangle_index
 
 if TYPE_CHECKING:
     from .heuristic import Frontier
@@ -84,6 +87,56 @@ class TourResult:
 
 def to_vertex_sequence(tour: TourResult) -> tuple[int, ...]:
     """Canonical vertex order of a tour (recomputed from its edge set)."""
-    from .graphs import edge_endpoints
-
     return cycle_vertex_sequence(tour.edges, lambda e: edge_endpoints(e, tour.n))
+
+
+class Lineage(NamedTuple):
+    """How one cycle grew: its root walk and weight, then one growth per step.
+
+    Each growth is (i, apex): ``apex`` went in after walk position i,
+    splitting walk edge (walk[i], walk[i+1]).
+    """
+
+    walk: tuple[int, ...]
+    weight: float
+    growths: tuple[tuple[int, int], ...]
+
+
+def tour_result(
+    inst: CompleteInstance,
+    lineage: Lineage,
+    history: list[Frontier] | None = None,
+    start: TraceStep | None = None,
+) -> TourResult:
+    """The tour ``lineage`` grows, with its trace replayed growth by growth.
+
+    The trace's steps are ``start``, if given, then one step per growth: its
+    triangle, split edge (u, v) and weight + ((w(u,apex) + w(v,apex)) - w(u,v)).
+    """
+    walk = list(lineage.walk)
+    steps = [] if start is None else [start]
+    weight = lineage.weight
+    for i, apex in lineage.growths:
+        u, v = walk[i], walk[(i + 1) % len(walk)]
+        # the insertion table's summation order, so this is the row's weight exactly
+        weight += (inst.weight(u, apex) + inst.weight(v, apex)) - inst.weight(u, v)
+        tri = tuple(sorted((u, v, apex)))
+        split = inst.edge_id(u, v)
+        steps.append(TraceStep(tri, triangle_index(inst.n, *tri), split, weight))
+        walk.insert(i + 1, apex)
+    trace = TourTrace(
+        seed=_walk_edges(inst, lineage.walk),
+        seed_vertices=lineage.walk,
+        seed_weight=lineage.weight,
+        steps=tuple(steps),
+        frontier_history=tuple(history) if history is not None else None,
+    )
+    edges = _walk_edges(inst, walk)
+    seq = _canonical_tour(tuple(walk))
+    return TourResult(sequence=seq, edges=edges, weight=weight, trace=trace, n=inst.n)
+
+
+def _walk_edges(inst: CompleteInstance, walk: Sequence[int]) -> EdgeSet:
+    """The edge set of the closed walk ``walk``."""
+    ends = zip(walk, [*walk[1:], walk[0]])
+    return EdgeSet.of((inst.edge_id(u, v) for u, v in ends), inst.m)

@@ -155,6 +155,27 @@ class TestCompareCommand:
             "match     true",
         ]
 
+    def test_zero_optimum_missed_ratio(self, capsys, tmp_path):
+        # the optimum is 0 and the heuristic finds 1: an infinite ratio,
+        # which JSON reports as null and the text as inf
+        path = tmp_path / "zero.txt"
+        path.write_text(
+            "6\n0 0 1 0 0 1\n0 0 0 0 1 1\n1 0 0 0 1 0\n"
+            "0 0 0 0 1 1\n0 1 1 1 0 0\n1 1 0 1 0 0\n"
+        )
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        code, out, _ = run_cli(
+            capsys, "compare", "--matrix", str(path), "--format", "json"
+        )
+        assert code == 0
+        r = json.loads(out, parse_constant=refuse)["results"]
+        assert (r["optimum"], r["heuristic"], r["ratio"]) == (0, 1, None)
+        code, out, _ = run_cli(capsys, "compare", "--matrix", str(path))
+        assert code == 0 and "ratio     inf" in out.splitlines()
+
     def test_random_ratio_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--random", "n=8", "seed=7", "--format", "json"

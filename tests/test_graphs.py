@@ -174,6 +174,16 @@ class TestParsing:
         with pytest.raises(BadOrderError):
             parse_matrix_text("2\n0 1\n1 0\n")
 
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2])
+    @pytest.mark.parametrize(
+        "parse", [parse_matrix_text, parse_upper_text, parse_coords_text]
+    )
+    def test_order_below_three_refused_at_header(self, parse, n):
+        # refused at the header line, before any row count is checked
+        where = f":2: instance needs at least 3 vertices, got {n}"
+        with pytest.raises(BadOrderError, match=re.escape(where)):
+            parse(f"# order\n{n}\n")
+
     def test_load_instance_dispatch(self, tmp_path):
         path = tmp_path / "k4.txt"
         path.write_text(K4_MATRIX_TEXT)

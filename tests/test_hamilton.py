@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from ringtour import (
+    CompleteInstance,
     CycleKind,
     DomainError,
     EdgeSet,
@@ -47,6 +48,30 @@ def reference_build(inst, start_triangle):
         (shared,) = current & tri.edges
         current = current ^ tri.edges
         steps.append((tuple(sorted(tri.vertices)), shared, cycle_weight(current, inst)))
+    return steps
+
+
+def reference_search_build(inst, start_triangle):
+    """(triangle, shared edge, repr(weight)) per step, by a split search.
+
+    Each apex, the smallest uncovered vertex, goes into the walk edge whose
+    sorted triple with it sorts first, found by scanning every walk edge.
+    """
+    a, b, c = _triangle_by_index(inst.n, start_triangle)
+    weight = inst.weight(a, b) + inst.weight(a, c) + inst.weight(b, c)
+    walk, steps = [a, b, c], [((a, b, c), 0, repr(weight))]
+    for apex in sorted(set(range(1, inst.n + 1)) - {a, b, c}):
+        size = len(walk)
+        i = min(
+            range(size),
+            key=lambda k: sorted((walk[k], walk[(k + 1) % size], apex)),
+        )
+        u, v = walk[i], walk[(i + 1) % size]
+        weight = weight + (
+            (inst.weight(u, apex) + inst.weight(v, apex)) - inst.weight(u, v)
+        )
+        walk.insert(i + 1, apex)
+        steps.append((tuple(sorted((u, v, apex))), inst.edge_id(u, v), repr(weight)))
     return steps
 
 
@@ -189,6 +214,20 @@ class TestBuildHamiltonian:
                 res = build_hamiltonian(inst, start_triangle=start)
                 got = [(s.triangle, s.shared_edge, s.weight) for s in res.trace.steps]
                 assert got == reference_build(inst, start)
+
+    @pytest.mark.parametrize("n", [13, 30, 60, 120])
+    def test_split_rule_matches_search(self, n):
+        # tenths make every running weight depend on its summation order
+        inst = CompleteInstance(random_instance(n, n, (1, 100)).weights / 10)
+        kc = n * (n - 1) * (n - 2) // 6
+        rng = random.Random(n)
+        starts = [1, (kc + 1) // 2, kc] + [rng.randint(1, kc) for _ in range(5)]
+        for start in starts:
+            res = build_hamiltonian(inst, start_triangle=start)
+            got = [
+                (s.triangle, s.shared_edge, repr(s.weight)) for s in res.trace.steps
+            ]
+            assert got == reference_search_build(inst, start)
 
 
 class TestTriangleByIndex:

@@ -591,7 +591,7 @@ def reference_round(inst, frontier):
     """``extend_frontier`` with each class's hits taken by 3-D ``np.nonzero``.
 
     Returns the children's (walks, keys, weights) and the round's lineage
-    arrays (parent row, split position, apex, weight).
+    arrays (parent row, split position, apex).
     """
     n, length = inst.n, frontier.length
     walks, outs, vals = heuristic._insertion_table(inst, frontier)
@@ -621,7 +621,7 @@ def reference_round(inst, frontier):
     for walk, split, apex in zip(children, splits, apexes):
         walk.insert(split + 1, apex)
     children = np.array(children, dtype=frontier.walks.dtype)
-    return (children, keys, weights), (rows, splits, apexes, weights)
+    return (children, keys, weights), (rows, splits, apexes)
 
 
 class TestHitOrder:
@@ -641,7 +641,9 @@ class TestHitOrder:
             want, want_lineage = reference_round(inst, frontier)
             frontier = extend_frontier(inst, frontier)
             got = (frontier.walks, frontier.keys, frontier.weights)
-            for g, r in zip((*got, *frontier._rounds[-1]), (*want, *want_lineage)):
+            got, want = (*got, *frontier._rounds[-1]), (*want, *want_lineage)
+            assert len(got) == len(want) == 6
+            for g, r in zip(got, want):
                 assert g.dtype == r.dtype and np.array_equal(g, r)
         assert any(spans)
 
@@ -691,6 +693,34 @@ class TestTraceReplay:
             res = build_hamiltonian(inst, start)
             assert len(res.trace.steps) == n - 2
             assert_trace_replays(inst, res)
+
+
+class TestStepWeights:
+    @pytest.mark.parametrize("beam", ["all-ties", 2, 3])
+    @pytest.mark.parametrize(
+        "inst",
+        [decimal_instance(n, n) for n in (8, 11)]
+        + [CompleteInstance(random_instance(n, n, (1, 100)).weights * 0.07)
+           for n in (8, 11)]
+        + [CompleteInstance(np.full((n, n), -0.0)) for n in (5, 7)],
+        ids=["tenths-n8", "tenths-n11", "x0.07-n8", "x0.07-n11"]
+        + ["negzero-n5", "negzero-n7"],
+    )
+    def test_replayed_weights_are_the_frontier_rows(self, inst, beam):
+        # each step's derived weight is, bit for bit, its cycle's row weight
+        # in that round's frontier, found by the cycle's key
+        res = solve(inst, beam, trace=True)
+        walk = list(res.trace.seed_vertices)
+        history = res.trace.frontier_history[1:]
+        for step, frontier in zip(res.trace.steps, history, strict=True):
+            u, v = inst.endpoints(step.shared_edge)
+            (apex,) = set(step.triangle) - {u, v}
+            k = walk.index(u)
+            walk.insert(k + 1 if walk[(k + 1) % len(walk)] == v else k, apex)
+            key = walk_edge_ids(inst, walk)
+            (row,) = np.flatnonzero((frontier.keys == key).all(axis=1))
+            assert repr(step.weight) == repr(float(frontier.weights[row]))
+        assert repr(res.weight) == repr(res.trace.steps[-1].weight)
 
 
 class TestSolve:

@@ -24,7 +24,7 @@ from ringtour import (
     triangle_index,
     triangles,
 )
-from ringtour import cli, hamilton, heuristic
+from ringtour import cli, hamilton, tours
 from ringtour.graphs import edge_id
 from tests.conftest import G1_ISOMETRIC
 
@@ -111,7 +111,7 @@ class TestTriangles:
             seen.append((n, a, b, c))
             return real(n, a, b, c)
 
-        monkeypatch.setattr(heuristic, "triangle_index", recording)
+        monkeypatch.setattr(tours, "triangle_index", recording)
         monkeypatch.setattr(hamilton, "triangle_index", recording)
         for inst in (k6, random_instance(9, 4, (1, 3))):
             solve(inst, trace=True)
