@@ -8,6 +8,7 @@ for large instances.  All values are immutable.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -182,7 +183,7 @@ class CycleRows(Sequence):
         return len(self.offsets) - 1
 
     def __getitem__(self, k: int) -> Cycle:
-        k = range(len(self))[k]
+        k = range(len(self))[operator.index(k)]
         lo, hi = self.offsets[k], self.offsets[k + 1]
         ids, vertices = self.edges[lo:hi].tolist(), self.vertices[lo:hi].tolist()
         return Cycle.simple_cycle(ids, vertices, self.m)

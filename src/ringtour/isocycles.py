@@ -2,9 +2,10 @@
 
 On a complete graph the isometric cycles are exactly the triangles, listed
 in lexicographic vertex-triple order so that c1 = (v1,v2,v3), c2 =
-(v1,v2,v4), ...  For general simple graphs the enumeration checks the
-defining property directly: every pair of cycle vertices must realise its
-BFS distance along the cycle.
+(v1,v2,v4), ...  For general simple graphs the enumeration grows paths
+under the defining property itself: each vertex is checked once against
+every earlier path vertex, for the BFS distance it must have on the
+finished cycle, so a path that reaches the cycle's length is a cycle.
 
 Either way the result is an :class:`IsometricCycleSet`: flat arrays of edge
 ids and vertices cut into cycles by one offsets array.  Pass vectors and
@@ -96,65 +97,44 @@ def triangles(inst: CompleteInstance) -> IsometricCycleSet:
 def isometric_cycles(g: GeneralGraph) -> IsometricCycleSet:
     """All isometric cycles of a connected simple graph.
 
-    A simple cycle qualifies when, for every pair of its vertices, the
-    graph distance equals the shorter arc along the cycle.  Enumeration is
-    a DFS over paths rooted at each cycle's minimal vertex; prefixes that
-    already violate the distance condition are pruned, which keeps the
-    search tame at desk scale.
+    A simple cycle of length k qualifies when every pair of its vertices
+    at arc distance t realises graph distance min(t, k - t).  Each cycle
+    is grown as a path from its smallest vertex, the root; a vertex w
+    joins at position t only if d(w, path[i]) == min(t - i, k - t + i)
+    for every i < t, so each pair is checked once.  While d(w, root) == t,
+    k is not known yet, but it is at least 2t, so the rule reads
+    d == t - i whatever k turns out to be.  The first w with
+    d(w, root) < t fixes k = t + d(w, root).  A path closes exactly when
+    it has k vertices: its last vertex is then adjacent to the root.  The
+    orientation guard path[1] < path[-1] keeps one of a cycle's two
+    directions.
     """
     dist = g.distance_matrix()
     if any(dist[1][v] < 0 for v in range(2, g.n + 1)):
         raise DomainError("graph is disconnected")
     adj = {v: sorted(nb) for v, nb in g.adjacency().items()}
 
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-
-    def isometric_closed(path: tuple[int, ...]) -> bool:
-        k = len(path)
-        for i in range(k):
-            di = dist[path[i]]
-            for j in range(i + 1, k):
-                t = j - i
-                if di[path[j]] != min(t, k - t):
-                    return False
-        return True
-
-    def extend(path: list[int], on_path: set[int]) -> None:
-        root = path[0]
-        last = path[-1]
-        for w in adj[last]:
-            if w == root and len(path) >= 3:
-                # Orientation guard: count each cycle once.
-                if path[1] < path[-1] and isometric_closed(tuple(path)):
-                    ids = [
-                        g.edge_id(path[i], path[(i + 1) % len(path)])
-                        for i in range(len(path))
-                    ]
-                    found[frozenset(ids)] = tuple(path)
+    rows = []
+    # (path, k): k is the cycle length, math.inf until the path turns.
+    stack = [((root,), math.inf) for root in range(1, g.n + 1)]
+    while stack:
+        path, k = stack.pop()
+        t, root = len(path), path[0]
+        if t == k:
+            if path[1] < path[-1]:
+                ids = [g.edge_id(u, v) for u, v in zip(path, path[1:] + path[:1])]
+                rows.append((sorted(ids), sorted(path)))
+            continue
+        for w in adj[path[-1]]:
+            if w <= root:
                 continue
-            if w <= root or w in on_path or len(path) >= g.n:
-                continue
-            # An isometric cycle of any final length k >= len+1 has arc
-            # distance at least min(t, len+1-t) between prefix positions.
-            t_new = len(path)
-            ok = True
             dw = dist[w]
-            for i, u in enumerate(path):
-                t = t_new - i
-                if dw[u] < min(t, t_new + 1 - t):
-                    ok = False
-                    break
-            if ok:
-                path.append(w)
-                on_path.add(w)
-                extend(path, on_path)
-                on_path.remove(w)
-                path.pop()
+            kw = t + dw[root] if k == math.inf and dw[root] < t else k
+            # A vertex already on the path is at distance 0, so it fails.
+            if all(dw[u] == min(t - i, kw - t + i) for i, u in enumerate(path)):
+                stack.append((path + (w,), kw))
 
-    for root in range(1, g.n + 1):
-        extend([root], {root})
-
-    rows = sorted((sorted(ids), sorted(path)) for ids, path in found.items())
+    rows.sort()
     return IsometricCycleSet(
         edges=[e for ids, _ in rows for e in ids],
         vertices=[v for _, verts in rows for v in verts],

@@ -65,6 +65,34 @@ G1_ISOMETRIC = [
 ]
 
 
+def cycle_graph(n):
+    """C_n on vertices 1..n."""
+    return GeneralGraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid; vertex r*cols + c + 1 sits at (r, c)."""
+    at = lambda r, c: r * cols + c + 1
+    across = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    down = [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return GeneralGraph(rows * cols, across + down)
+
+
+def hypercube_graph(d):
+    """Q_d: vertex v + 1 for each d-bit v, joined where one bit differs."""
+    bits = [1 << i for i in range(d)]
+    edges = [(v + 1, (v | b) + 1) for v in range(2**d) for b in bits if not v & b]
+    return GeneralGraph(2**d, edges)
+
+
+def petersen_graph():
+    """Outer 5-cycle 1..5, spokes to 6..10, inner pentagram."""
+    outer = [(v, v % 5 + 1) for v in range(1, 6)]
+    spokes = [(v, v + 5) for v in range(1, 6)]
+    inner = [(v + 6, (v + 2) % 5 + 6) for v in range(5)]
+    return GeneralGraph(10, outer + spokes + inner)
+
+
 @pytest.fixture(scope="session")
 def k4():
     return CompleteInstance(K4_MATRIX)

@@ -230,6 +230,11 @@ class TestCycleRows:
                 view[k]
         assert built_cycles == []
 
+    def test_slice_refused(self, view, built_cycles):
+        with pytest.raises(TypeError, match="'slice' object cannot be interpreted"):
+            view[1:3]
+        assert built_cycles == []
+
     @pytest.mark.parametrize("view", ["g1-isometric", "k6-triangles"], indirect=True)
     def test_one_based_accessor_keeps_domain_error(self, view, built_cycles):
         assert isinstance(view, IsometricCycleSet)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from ringtour import (
     GeneralGraph,
     build_hamiltonian,
     classify,
+    cycle_vertex_sequence,
     deletion_trace,
     isometric_cycles,
     maclane_f1,
@@ -26,7 +29,14 @@ from ringtour import (
 )
 from ringtour import cli, hamilton, tours
 from ringtour.graphs import edge_id
-from tests.conftest import G1_ISOMETRIC
+from tests.conftest import (
+    G1_EDGES,
+    G1_ISOMETRIC,
+    cycle_graph,
+    grid_graph,
+    hypercube_graph,
+    petersen_graph,
+)
 
 
 def reference_pass_vectors(cycles, graph):
@@ -47,6 +57,86 @@ def reference_functionals(p_e):
     f1 = sum(p * p for p in live) - 3 * sum(live) + 2 * len(live)
     f2 = sum(p**3 for p in p_e) - 3 * sum(p * p for p in p_e) + 2 * sum(p_e)
     return f1, f2
+
+
+def reference_isometric_cycles(g):
+    """(edges, vertices, offsets) lists from a recursive path DFS.
+
+    The enumerator as it stood before the one-rule search: prefixes are
+    pruned by a lower bound on the arc distance, and each closed path is
+    re-checked pair by pair.
+    """
+    dist = g.distance_matrix()
+    adj = {v: sorted(nb) for v, nb in g.adjacency().items()}
+    found = {}
+
+    def isometric_closed(path):
+        k = len(path)
+        for i in range(k):
+            di = dist[path[i]]
+            for j in range(i + 1, k):
+                t = j - i
+                if di[path[j]] != min(t, k - t):
+                    return False
+        return True
+
+    def extend(path, on_path):
+        root = path[0]
+        last = path[-1]
+        for w in adj[last]:
+            if w == root and len(path) >= 3:
+                # Orientation guard: count each cycle once.
+                if path[1] < path[-1] and isometric_closed(tuple(path)):
+                    ids = [
+                        g.edge_id(path[i], path[(i + 1) % len(path)])
+                        for i in range(len(path))
+                    ]
+                    found[frozenset(ids)] = tuple(path)
+                continue
+            if w <= root or w in on_path or len(path) >= g.n:
+                continue
+            # An isometric cycle of any final length k >= len+1 has arc
+            # distance at least min(t, len+1-t) between prefix positions.
+            t_new = len(path)
+            ok = True
+            dw = dist[w]
+            for i, u in enumerate(path):
+                t = t_new - i
+                if dw[u] < min(t, t_new + 1 - t):
+                    ok = False
+                    break
+            if ok:
+                path.append(w)
+                on_path.add(w)
+                extend(path, on_path)
+                on_path.remove(w)
+                path.pop()
+
+    for root in range(1, g.n + 1):
+        extend([root], {root})
+    rows = sorted((sorted(ids), sorted(path)) for ids, path in found.items())
+    offsets = [0]
+    for ids, _ in rows:
+        offsets.append(offsets[-1] + len(ids))
+    return (
+        [e for ids, _ in rows for e in ids],
+        [v for _, verts in rows for v in verts],
+        offsets,
+    )
+
+
+def assert_isometric(g, dist, cyc):
+    """Every pair of the cycle's vertices realises its shorter arc."""
+    seq = cycle_vertex_sequence(cyc.edges, g.endpoints)
+    k = len(seq)
+    for i in range(k):
+        for j in range(i + 1, k):
+            t = j - i
+            assert dist[seq[i]][seq[j]] == min(t, k - t)
+
+
+def is_connected(g):
+    return all(d >= 0 for d in g.distance_matrix()[1][1:])
 
 
 def random_graph(n, seed, p=0.45):
@@ -183,28 +273,59 @@ class TestIsometricCycles:
         if any(dist[1][v] < 0 for v in range(2, n + 1)):
             pytest.skip("random graph came out disconnected")
         for cyc in isometric_cycles(g):
-            seq = _cycle_order(g, sorted(cyc.edges.ids()))
-            k = len(seq)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    t = j - i
-                    assert dist[seq[i]][seq[j]] == min(t, k - t)
+            assert_isometric(g, dist, cyc)
 
+    @staticmethod
+    def assert_matches_reference(g):
+        iso = isometric_cycles(g)
+        got = (iso.edges.tolist(), iso.vertices.tolist(), iso.offsets.tolist())
+        assert got == reference_isometric_cycles(g)
 
-def _cycle_order(g, edge_ids):
-    adj = {}
-    for e in edge_ids:
-        u, v = g.endpoints(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    seq = [start]
-    prev, cur = start, min(adj[start])
-    while cur != start:
-        seq.append(cur)
-        a, b = adj[cur]
-        prev, cur = cur, (b if a == prev else a)
-    return seq
+    @pytest.mark.parametrize("p", [0.15, 0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_random_graphs_match_reference(self, n, p):
+        graphs = [random_graph(n, seed, p) for seed in range(6)]
+        connected = [g for g in graphs if is_connected(g)]
+        if not connected:
+            pytest.skip("every random graph came out disconnected")
+        for g in connected:
+            self.assert_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n=n: cycle_graph(n) for n in range(3, 12)]
+        + [
+            petersen_graph,
+            lambda: grid_graph(5, 5),
+            lambda: hypercube_graph(4),
+            lambda: hypercube_graph(5),
+            lambda: GeneralGraph(10, G1_EDGES),
+        ],
+        ids=[f"C{n}" for n in range(3, 12)] + ["petersen", "grid5x5", "Q4", "Q5", "G1"],
+    )
+    def test_named_graphs_match_reference(self, make):
+        self.assert_matches_reference(make())
+
+    def test_q6_count_and_definition(self):
+        # 6,544 and 36 were counted by the reference, which takes ~12 s on Q6
+        g = hypercube_graph(6)
+        iso = isometric_cycles(g)
+        assert len(iso) == 6544
+        dist = g.distance_matrix()
+        for cyc in iso:
+            assert_isometric(g, dist, cyc)
+        assert len(isometric_cycles(grid_graph(7, 7))) == 36
+
+    def test_long_cycle_needs_no_recursion(self):
+        # a search that recursed once per path vertex would need 200 frames
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            iso = isometric_cycles(cycle_graph(200))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(iso) == 1
+        assert iso.vertices.tolist() == list(range(1, 201))
 
 
 class TestSimpleCycleBuilder:
