@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from statistics import median
 
@@ -41,9 +42,48 @@ from .oracle import HELD_KARP_MAX_N, held_karp
 from .tours import TourResult
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+_SCALARS = {int, float, bool, type(None)}
+
+
+def _render_json(obj, pad: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at
+    indent ``pad``; every dict key must be a ``str``."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return repr(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            encode_basestring_ascii(key) + ": " + _render_json(obj[key], inner)
+            for key in sorted(obj)
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _SCALARS:
+            body = _COMPACT(obj)[1:-1].replace(",", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_render_json(item, inner) for item in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return _COMPACT(obj)
+
+
 @dataclass
 class RunReport:
-    """Reproducible record of one CLI invocation."""
+    """Reproducible record of one CLI invocation.
+
+    :meth:`to_json` writes the bytes of ``json.dumps(sort_keys=True,
+    indent=2)`` without that call's pure-Python encoder: a list of plain
+    ints, floats, bools and Nones is encoded compactly in C, and each comma
+    becomes a comma, newline and indent.  Each comma is an item separator,
+    because the JSON text of a number, ``true``, ``false`` or ``null``
+    never holds one.  Dict keys must be strings.
+    """
 
     command: str
     instance: dict
@@ -53,7 +93,7 @@ class RunReport:
     trace: list | None = None
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2)
+        return _render_json(vars(self), "")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -578,7 +618,9 @@ def main(argv=None) -> int:
         report = args.handler(parser, args)
         text = report.to_json() if args.format == "json" else args.render(report)
         if args.out and args.cmd != "gen":
-            Path(args.out).write_text(text + "\n")
+            with open(args.out, "w") as out:
+                out.write(text)
+                out.write("\n")
         else:
             print(text)
     except SystemExit as exc:

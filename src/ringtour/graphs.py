@@ -236,13 +236,16 @@ class InstanceSource:
 
 
 def _parse_numbers(line: str, path: str, lineno: int) -> list[float]:
-    out = []
-    for tok in line.split():
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: not a number: {tok!r}") from None
-    return out
+    try:
+        return list(map(float, line.split()))
+    except ValueError:
+        # walk the row again only to name its first bad token
+        for tok in line.split():
+            try:
+                float(tok)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: not a number: {tok!r}") from None
+        raise
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

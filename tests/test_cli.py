@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ringtour import cli, isocycles
@@ -606,6 +608,34 @@ class TestParserCache:
         assert reports[3]["trace"][0]["seed_walk"] == [1, 2, 3]
 
 
+def indent_dumps(report):
+    return json.dumps(vars(report), sort_keys=True, indent=2)
+
+
+@pytest.fixture()
+def spied_reports(monkeypatch):
+    """(report, text) for every RunReport that main renders as JSON, in order."""
+    rendered = []
+    to_json = RunReport.to_json
+
+    def spy(report):
+        rendered.append((report, to_json(report)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(RunReport, "to_json", spy)
+    return rendered
+
+
+FLOATS = [math.inf, -math.inf, math.nan, -0.0, 1e16, 5e-324]
+STRINGS = [
+    'say "hi"',
+    "back\\slash",
+    "bell\x07 and tab\t",
+    "na\u00efve \u2603",
+    "/tmp/a dir, with commas/k 5, copy.txt",
+]
+
+
 class TestRunReport:
     def test_to_json_bytes(self):
         report = RunReport(
@@ -644,3 +674,69 @@ class TestRunReport:
   "timing_ms": 1.25,
   "trace": null
 }"""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--random", "n=12", "seed=5"),
+            ("solve", "--random", "n=12", "seed=5", "--trace"),
+            ("compare", "--random", "n=9", "seed=2"),
+            ("gen", "--random", "n=6", "seed=1", "--out", "OUT"),
+            ("cycles", "--matrix", "K5"),
+            ("maclane", "--matrix", "K5", "--delete", "1,6,8"),
+            ("hamiltonian", "--matrix", "K5"),
+            ("bench", "--sizes", "6,8", "--seeds", "1"),
+        ],
+        ids=["solve", "solve-trace", "compare", "gen", "cycles", "maclane-delete",
+             "hamiltonian", "bench"],
+    )
+    def test_every_command(self, capsys, spied_reports, tmp_path, argv):
+        # a path with spaces and commas lands in the report's strings
+        folder = tmp_path / "a dir, with commas"
+        folder.mkdir()
+        k5 = folder / "k 5, copy.txt"
+        k5.write_text(K5_MATRIX_TEXT)
+        paths = {"K5": str(k5), "OUT": str(folder / "gen, out.txt")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        [(report, text)] = spied_reports
+        assert out == text + "\n"
+        assert text == indent_dumps(report)
+
+    @pytest.mark.parametrize(
+        "results",
+        [
+            {"a": [], "b": {}, "c": [[], {}], "d": {"e": {"f": []}}, "g": ()},
+            {"t": (1, (2.5, None), ()), "u": [(), [[]], [{}]]},
+            {"mixed": [1, 2.5, True, False, None, -3], "one": [0], "flag": True},
+            {"list": FLOATS, "each": {str(k): x for k, x in enumerate(FLOATS)}},
+            {"np": np.float64(0.1), "nps": [np.float64(x) for x in (1.5, -0.0, 1e16)]},
+            {"strings": STRINGS, "mixed": ["a,b", 1, None], "keys": dict.fromkeys(STRINGS, 0)},
+        ],
+        ids=["empty", "tuples", "scalars", "floats", "numpy-floats", "strings"],
+    )
+    def test_edge_payloads(self, results):
+        report = RunReport("x", {"path": STRINGS[-1]}, {}, results, trace=[results])
+        assert report.to_json() == indent_dumps(report)
+
+    @pytest.mark.parametrize(
+        "results",
+        [{"v": np.int64(3)}, {"v": [1, np.int64(3)]}, {(1, 2): 0}, {1: "a"}],
+        ids=["numpy-int", "numpy-int-in-list", "tuple-key", "int-key"],
+    )
+    def test_unencodable_raises_type_error(self, results):
+        # json.dumps writes an int key as a string; no report has one
+        with pytest.raises(TypeError):
+            RunReport("x", {}, {}, results).to_json()
+
+    def test_stdout_and_out_file_carry_the_same_bytes(self, capsys, spied_reports, tmp_path):
+        target = tmp_path / "report.json"
+        argv = ("solve", "--random", "n=8", "seed=3", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, to_file, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and to_file == ""
+        (_, printed), (_, written) = spied_reports
+        assert out == printed + "\n"
+        assert target.read_text() == written + "\n"

@@ -209,6 +209,7 @@ class TestParsing:
         "parse, text, where",
         [
             (parse_matrix_text, "# c\n\n3\n0 1 2\n1 0 x\n2 3 0\n", ":5: not a number: 'x'"),
+            (parse_matrix_text, "# c\n\n3\n0 1 2\n1 x 0 y\n2 z 0\n", ":5: not a number: 'x'"),
             (parse_matrix_text, "# c\n\n3\n0 1 2\n\n1 0\n2 3 0\n", ":6: expected 3 entries"),
             (parse_matrix_text, "# c\n\n3 3\n0 1 2\n", ":3: expected a single vertex"),
             (parse_matrix_text, "\n# c\nx\n0 1 2\n", ":3: vertex count is not an integer"),
@@ -224,6 +225,7 @@ class TestParsing:
         ],
         ids=[
             "matrix-number",
+            "matrix-number-mid-row",
             "matrix-entries",
             "matrix-header",
             "matrix-order",
