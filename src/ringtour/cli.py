@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from statistics import median
+from statistics import linear_regression, median
 
 from .errors import DomainError, RingtourError
 from .graphs import (
@@ -202,34 +202,33 @@ def _trace_payload(res: TourResult) -> list:
     return entries
 
 
-def _render_solve_text(report: RunReport) -> str:
-    r = report.results
-    lines = [
+def _tour_lines(r: dict) -> list[str]:
+    return [
         f"tour   {_fmt_tour(r['tour'])}",
         f"edges  {_fmt_edges(r['edges'])}",
         f"weight {_fmt_num(r['weight'])}",
     ]
+
+
+def _render_solve_text(report: RunReport) -> str:
+    lines = _tour_lines(report.results)
     if report.trace:
+        # solve's trace: the seed, one entry per step, then every round's frontier
+        seed, *steps, history = report.trace
         lines.append("")
-        for entry in report.trace:
-            if "seed_walk" in entry:
-                lines.append(
-                    f"seed  {_fmt_edges(entry['seed_edges'])} <-> "
-                    f"{_fmt_tour(entry['seed_walk'])} = {_fmt_num(entry['seed_weight'])}"
-                )
-            elif "triangle" in entry:
-                tri = entry["triangle"]
-                lines.append(
-                    f"  (+) c{entry['triangle_id']} on {_fmt_tour(tri)} "
-                    f"over e{entry['shared_edge']} -> {_fmt_num(entry['weight'])}"
-                )
-            elif "frontiers" in entry:
-                lines.append("frontiers:")
-                for snap in entry["frontiers"]:
-                    sets = " ".join(_fmt_edges(es) for es in snap["edge_sets"])
-                    lines.append(
-                        f"  L={snap['length']} w={_fmt_num(snap['weight'])}: {sets}"
-                    )
+        lines.append(
+            f"seed  {_fmt_edges(seed['seed_edges'])} <-> "
+            f"{_fmt_tour(seed['seed_walk'])} = {_fmt_num(seed['seed_weight'])}"
+        )
+        for step in steps:
+            lines.append(
+                f"  (+) c{step['triangle_id']} on {_fmt_tour(step['triangle'])} "
+                f"over e{step['shared_edge']} -> {_fmt_num(step['weight'])}"
+            )
+        lines.append("frontiers:")
+        for snap in history["frontiers"]:
+            sets = " ".join(_fmt_edges(es) for es in snap["edge_sets"])
+            lines.append(f"  L={snap['length']} w={_fmt_num(snap['weight'])}: {sets}")
     return "\n".join(lines)
 
 
@@ -292,19 +291,9 @@ def _render_compare_text(report: RunReport) -> str:
 
 
 def _instance_to_text(inst: CompleteInstance, encoding: str) -> str:
-    lines = [str(inst.n)]
-    if encoding == "matrix":
-        for i in range(1, inst.n + 1):
-            lines.append(
-                " ".join(_fmt_num(inst.weight(i, j)) for j in range(1, inst.n + 1))
-            )
-    elif encoding == "upper":
-        for i in range(1, inst.n):
-            lines.append(
-                " ".join(_fmt_num(inst.weight(i, j)) for j in range(i + 1, inst.n + 1))
-            )
-    else:
-        raise RingtourError(f"unknown encoding {encoding!r}")
+    w = inst.weights.tolist()
+    rows = w if encoding == "matrix" else [row[i + 1:] for i, row in enumerate(w[:-1])]
+    lines = [str(inst.n), *(" ".join(map(_fmt_num, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -429,35 +418,21 @@ def cmd_hamiltonian(parser, args) -> RunReport:
 
 def _render_hamiltonian_text(report: RunReport) -> str:
     n = report.instance["n"]
-    lines = []
-    k = 0
-    running: set[int] = set()
-    covered: set[int] = set()
-    for entry in report.trace or ():
-        if "seed_walk" in entry:
-            k = 1
-            running = set(entry["seed_edges"])
-            covered = set(entry["seed_walk"])
-            lines.append(
-                f"z1 = c{report.trace[1]['triangle_id']} = "
-                f"{_fmt_edges(entry['seed_edges'])} <-> "
-                f"{_fmt_tour(entry['seed_walk'])}"
-            )
-        elif "triangle" in entry and entry.get("shared_edge"):
-            k += 1
-            running ^= {
-                edge_id(a, b, n) for a, b in combinations(entry["triangle"], 2)
-            }
-            covered |= set(entry["triangle"])
-            lines.append(
-                f"z{k} = z{k - 1} (+) c{entry['triangle_id']} = "
-                f"{_fmt_edges(sorted(running))} <-> {_fmt_tour(sorted(covered))}"
-            )
-    r = report.results
-    lines.append(f"tour   {_fmt_tour(r['tour'])}")
-    lines.append(f"edges  {_fmt_edges(r['edges'])}")
-    lines.append(f"weight {_fmt_num(r['weight'])}")
-    return "\n".join(lines)
+    # the build's trace: the seed, the seed triangle's own step, then one per sum
+    seed, start, *steps = report.trace
+    running, covered = set(seed["seed_edges"]), set(seed["seed_walk"])
+    lines = [
+        f"z1 = c{start['triangle_id']} = {_fmt_edges(seed['seed_edges'])} <-> "
+        f"{_fmt_tour(seed['seed_walk'])}"
+    ]
+    for k, step in enumerate(steps, start=2):
+        running ^= {edge_id(a, b, n) for a, b in combinations(step["triangle"], 2)}
+        covered |= set(step["triangle"])
+        lines.append(
+            f"z{k} = z{k - 1} (+) c{step['triangle_id']} = "
+            f"{_fmt_edges(sorted(running))} <-> {_fmt_tour(sorted(covered))}"
+        )
+    return "\n".join(lines + _tour_lines(report.results))
 
 
 def _bench_one(n: int, seed: int, args) -> dict:
@@ -466,16 +441,6 @@ def _bench_one(n: int, seed: int, args) -> dict:
     res = solve(inst, beam=args.beam)
     ms = (time.perf_counter() - t0) * 1e3
     return {"n": n, "seed": seed, "millis": ms, "weight": res.weight}
-
-
-def _loglog_slope(sizes: list[int], medians: list[float]) -> float:
-    xs = [math.log(s) for s in sizes]
-    ys = [math.log(max(t, 1e-9)) for t in medians]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
 
 
 def cmd_bench(parser, args) -> RunReport:
@@ -490,13 +455,15 @@ def cmd_bench(parser, args) -> RunReport:
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
     seeds = range(1, args.seeds + 1)
-    rows = [_bench_one(n, seed, args) for n in sizes for seed in seeds]
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
+    rows = [_bench_one(n, seed, args) for n in sorted(sizes) for seed in seeds]
     medians = {
         n: median(r["millis"] for r in rows if r["n"] == n) for n in sorted(sizes)
     }
     slope = (
-        _loglog_slope(sorted(medians), [medians[n] for n in sorted(medians)])
+        linear_regression(
+            [math.log(n) for n in medians],
+            [math.log(max(t, 1e-9)) for t in medians.values()],
+        ).slope
         if len(medians) >= 2
         else None
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestGenCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("encoding, expected", [
+        ("matrix", "5\n0 8 12 11 47\n8 0 22 95 86\n12 22 0 40 33\n11 95 40 0 78\n"
+                   "47 86 33 78 0\n"),
+        ("upper", "5\n8 12 11 47\n22 95 86\n40 33\n78\n"),
+    ])
+    def test_file_bytes(self, capsys, tmp_path, encoding, expected):
+        target = tmp_path / "inst.txt"
+        code, _, _ = run_cli(
+            capsys, "gen", "--random", "n=5", "seed=2",
+            "--encoding", encoding, "--out", str(target),
+        )
+        assert code == 0
+        assert target.read_bytes() == expected.encode()
+
     def test_gen_needs_random(self, capsys, k4_file):
         code, _, err = run_cli(capsys, "gen", "--matrix", str(k4_file))
         assert code == 1
@@ -354,6 +369,74 @@ class TestHamiltonianCommand:
         assert report["trace"][0]["seed_walk"] == [4, 5, 6]
 
 
+# Full stdout of the trace-bearing text renderers, layouts without a growth
+# step included.  "k4" and "k6" stand for the desk-example files.
+GOLDEN_TEXT = {
+    "solve-trace-k6": (("solve", "--matrix", "k6", "--trace"), """\
+tour   (v1,v2,v6,v5,v4,v3)
+edges  {e1,e2,e9,e10,e13,e15}
+weight 36
+
+seed  {e1,e2,e8,e11} <-> (v1,v2,v5,v3) = 20
+  (+) c17 on (v3,v4,v5) over e11 -> 26
+  (+) c16 on (v2,v5,v6) over e8 -> 36
+frontiers:
+  L=4 w=20: {e1,e2,e8,e11} {e2,e3,e11,e13} {e2,e4,e10,e13}
+  L=5 w=26: {e1,e2,e8,e10,e13}
+  L=6 w=36: {e1,e2,e9,e10,e13,e15}
+"""),
+    "hamiltonian-k6": (("hamiltonian", "--matrix", "k6"), """\
+z1 = c1 = {e1,e2,e6} <-> (v1,v2,v3)
+z2 = z1 (+) c2 = {e2,e3,e6,e7} <-> (v1,v2,v3,v4)
+z3 = z2 (+) c6 = {e3,e4,e6,e7,e11} <-> (v1,v2,v3,v4,v5)
+z4 = z3 (+) c9 = {e4,e5,e6,e7,e11,e14} <-> (v1,v2,v3,v4,v5,v6)
+tour   (v1,v5,v3,v2,v4,v6)
+edges  {e4,e5,e6,e7,e11,e14}
+weight 53
+"""),
+    "hamiltonian-k6-start20": (("hamiltonian", "--matrix", "k6", "--start", "20"), """\
+z1 = c20 = {e13,e14,e15} <-> (v4,v5,v6)
+z2 = z1 (+) c8 = {e3,e4,e14,e15} <-> (v1,v4,v5,v6)
+z3 = z2 (+) c2 = {e1,e4,e7,e14,e15} <-> (v1,v2,v4,v5,v6)
+z4 = z3 (+) c1 = {e2,e4,e6,e7,e14,e15} <-> (v1,v2,v3,v4,v5,v6)
+tour   (v1,v3,v2,v4,v6,v5)
+edges  {e2,e4,e6,e7,e14,e15}
+weight 47
+"""),
+    "solve-trace-n3": (("solve", "--random", "n=3", "seed=1", "--trace"), """\
+tour   (v1,v2,v3)
+edges  {e1,e2,e3}
+weight 189
+
+seed  {e1,e2,e3} <-> (v1,v2,v3) = 189
+frontiers:
+  L=3 w=189: {e1,e2,e3}
+"""),
+    "hamiltonian-n3": (("hamiltonian", "--random", "n=3", "seed=1"), """\
+z1 = c1 = {e1,e2,e3} <-> (v1,v2,v3)
+tour   (v1,v2,v3)
+edges  {e1,e2,e3}
+weight 189
+"""),
+    "solve-trace-k4": (("solve", "--matrix", "k4", "--trace"), """\
+tour   (v1,v2,v4,v3)
+edges  {e1,e2,e5,e6}
+weight 27
+
+seed  {e1,e2,e5,e6} <-> (v1,v2,v4,v3) = 27
+frontiers:
+  L=4 w=27: {e1,e2,e5,e6}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TEXT)
+def test_golden_text(capsys, k4_file, k6_file, name):
+    argv, expected = GOLDEN_TEXT[name]
+    files = {"k4": str(k4_file), "k6": str(k6_file)}
+    assert run_cli(capsys, *(files.get(a, a) for a in argv)) == (0, expected, "")
+
+
 class TestUsageAndErrors:
     def test_no_source(self, capsys):
         code, _, err = run_cli(capsys, "solve")
@@ -442,6 +525,30 @@ class TestUsageAndErrors:
         assert (code, out) == (1, "")
         assert err.splitlines()[0].startswith("usage: ringtour")
         assert err.splitlines()[1:] == [f"ringtour: error: --random repeats key {key!r}"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--random", "x"), "bad --random token 'x', expected key=value"),
+        (("solve", "--random", "q=1"), "unknown --random key 'q'"),
+        (("bench", "--sizes", ","), "--sizes needs at least one size"),
+    ])
+    def test_usage_error_is_the_last_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"ringtour: error: {message}"
+
+    def test_random_skips_empty_parts(self, capsys):
+        spaced = run_cli(capsys, "solve", "--random", "n=5", "seed=1")
+        assert run_cli(capsys, "solve", "--random", "n=5,seed=1,,") == spaced
+        assert spaced[0] == 0 and spaced[2] == ""
+
+    def test_coords_row_count(self, capsys, tmp_path):
+        pts = tmp_path / "pts.txt"
+        pts.write_text("3\n0 0\n1 1\n")
+        code, out, err = run_cli(capsys, "solve", "--coords", str(pts))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"ringtour: error: {pts}: expected 3 coordinate rows, found 2"
+        )
 
     def test_bad_beam_is_usage_error(self, capsys):
         # "²".isdigit() holds, but int() does not parse it
@@ -586,6 +693,34 @@ class TestBenchCommand:
         assert code == 0
         assert out.splitlines()[0] == "n,seed,millis,weight"
         assert "# median n=6" in out
+
+
+    def test_text_slope_line(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "6,8", "--seeds", "1")
+        assert code == 0
+        assert re.fullmatch(r"# slope -?\d+\.\d{3}", out.splitlines()[-1])
+
+    def test_slope_is_the_loglog_least_squares_fit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--sizes", "8,6,10", "--seeds", "1", "--format", "json"
+        )
+        assert code == 0
+        r = json.loads(out)["results"]
+        assert [row["n"] for row in r["rows"]] == [6, 8, 10]
+        sizes = sorted(map(int, r["median_ms"]))
+        expected = loglog_slope(sizes, [r["median_ms"][str(n)] for n in sizes])
+        assert r["slope"] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def loglog_slope(sizes, medians):
+    """Least-squares slope of log(median) against log(n), in closed form."""
+    xs = [math.log(s) for s in sizes]
+    ys = [math.log(max(t, 1e-9)) for t in medians]
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    den = sum((x - mx) ** 2 for x in xs)
+    return num / den
 
 
 class TestParserCache:

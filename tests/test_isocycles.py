@@ -29,7 +29,7 @@ from ringtour import (
 )
 from ringtour import cli, hamilton, tours
 from ringtour.graphs import edge_id
-from tests.conftest import (
+from conftest import (
     G1_EDGES,
     G1_ISOMETRIC,
     cycle_graph,
