@@ -297,6 +297,14 @@ def _instance_to_text(inst: CompleteInstance, encoding: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a failure names the path and its reason."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise RingtourError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_gen(parser, args) -> RunReport:
     # usage errors first, so that a bad gen loads and writes nothing
     if _source_from_args(parser, args).kind != "random":
@@ -305,7 +313,7 @@ def cmd_gen(parser, args) -> RunReport:
         parser.error("gen needs --out")
     inst, instance = _load(parser, args)
     text = _instance_to_text(inst, args.encoding)
-    Path(args.out).write_text(text)
+    _write_out(args.out, text)
     return RunReport(
         command="gen",
         instance=instance,
@@ -585,9 +593,7 @@ def main(argv=None) -> int:
         report = args.handler(parser, args)
         text = report.to_json() if args.format == "json" else args.render(report)
         if args.out and args.cmd != "gen":
-            with open(args.out, "w") as out:
-                out.write(text)
-                out.write("\n")
+            _write_out(args.out, text + "\n")
         else:
             print(text)
     except SystemExit as exc:

@@ -26,11 +26,16 @@ reproduces the worked desk examples.  Weight comparisons are exact;
 instances with integral weights (all file formats round or carry
 integers) make every sum exactly representable.
 
-Seeding is an O(n^3) wedge scan: a 4-cycle a-x-c-y is the two 2-paths
-a-x-c and a-y-c across its diagonal (a, c), so the cheapest cycle on each
-diagonal is the sum of its two cheapest wedges.  Each smallest vertex a's
-wedges are one row slice of the weights plus a broadcast add, and a row's
-two cheapest come from an argmin, a mask and a min.
+Seeding is a wedge scan bounded by its own running cut: a 4-cycle a-x-c-y
+is the two 2-paths a-x-c and a-y-c across its diagonal (a, c), so the
+cheapest cycle on each diagonal is the sum of its two cheapest wedges.
+Each smallest vertex a's wedges are one gather of the weight columns that
+can still reach the cut plus a broadcast add, and a row's two cheapest
+come from an argmin, a mask and a min.  Every cycle through wedge a-x-c
+weighs at least (w(a, x) + lo) + (lo + lo), lo the lightest edge, so on
+random weights the cut soon keeps a few light columns per row; the
+diagonals it lists are exactly the full scan's, and uniform weights, where
+nothing is pruned, leave it O(n^3).
 
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
@@ -162,14 +167,16 @@ class Frontier:
         )
 
 
-def _wedge_rows(w: np.ndarray, a: int) -> np.ndarray:
-    """The wedge matrix of smallest vertex ``a`` (0-based), a fresh array.
+def _wedge_rows(w: np.ndarray, a: int, xs: np.ndarray) -> np.ndarray:
+    """The wedge rows of smallest vertex ``a`` (0-based) over columns ``xs``.
 
-    Entry (c, x), both offset by a+1 over a+1 .. n-1, is w(a, x) + w(c, x),
+    ``xs`` holds ascending vertices (0-based) above a.  Row c, offset by
+    a+1 over a+1 .. n-1, has entry j = w(a, x) + w(c, x) for x = xs[j],
     the 2-path a-x-c across the diagonal (a, c); it is inf where x == c.
+    The rows are a fresh array.
     """
-    rows = w[a, a + 1 :] + w[a + 1 :, a + 1 :]
-    np.fill_diagonal(rows, np.inf)
+    rows = w[a, xs] + w[a + 1 :, xs]
+    rows[xs - (a + 1), np.arange(len(xs))] = np.inf
     return rows
 
 
@@ -181,42 +188,67 @@ def _seed_scan(
     The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
     is c is the wedge sum W[c, x] + W[c, y] with x < y, so every 4-cycle is
     scanned once.  Pass 1 takes each diagonal's cheapest cycle from its
-    two cheapest wedges: a's wedge rows are :func:`_wedge_rows`, the slice
-    w[a, a+1:] added to w[a+1:, a+1:], and a row's cheapest wedge is its
-    argmin, its second the min once that entry is masked.
-    Pass 1 cuts at the k-th cheapest diagonal, k = 3B - 2
-    for beam B (no cut if there are fewer than k diagonals).  A quad
-    a < b < c < d has exactly three anchor diagonals (a, b), (a, c) and
-    (a, d), one per cycle, so k cycles on distinct diagonals lie on at
-    least ceil(k/3) = B quads, and the beam cuts no higher.  Beam 1 cuts at
-    the global minimum.  Pass 2 lists every cycle at or below the cut,
-    from the same wedge rows, and keeps each quad's minimum.  Returns the
-    kept cycles' walks (1-based), sorted edge ids and weights, in scan
-    order.
+    two cheapest wedges, a row's argmin and its min once that entry is
+    masked, over a's wedge rows (:func:`_wedge_rows`).  It cuts at the
+    k-th cheapest diagonal, k = 3B - 2 for beam B (no cut if there are
+    fewer than k diagonals).  A quad a < b < c < d has exactly three anchor
+    diagonals (a, b), (a, c) and (a, d), one per cycle, so k cycles on
+    distinct diagonals lie on at least ceil(k/3) = B quads, and the beam
+    cuts no higher.  Beam 1 cuts at the global minimum.
+
+    Pass 1 is bounded by its own running cut, the k-th cheapest diagonal
+    minimum read so far.  Weights are at least ``lo``, the lightest edge,
+    and float addition rounds monotonically, so a cycle through wedge
+    a-x-c scans to at least (w(a, x) + lo) + (lo + lo); a's rows keep only
+    the columns x where that bound is at or below the cut, and a vertex
+    with fewer than two has no diagonal at or below it.  The running cut
+    never falls below the final one, so a diagonal whose minimum is at or
+    below the final cut keeps both its cheapest wedges and reads exactly;
+    any other reads at least its minimum, or is not read.  The cut and the
+    diagonals at or below it are those of the full scan.  Uniform weights
+    prune nothing, and the scan stays O(n^3).
+
+    Pass 2 lists every cycle at or below the cut, from the wedge rows over
+    the columns the final cut keeps, and keeps each quad's minimum; the
+    columns ascend, so the pairs (x, y) come in the full rows' order.
+    Returns the kept cycles' walks (1-based), sorted edge ids and weights,
+    in scan order.
     """
     w = inst.weights
     n = inst.n
-    diag = []
+    lo = w[~np.eye(n, dtype=bool)].min()
+    bound = (w + lo) + (lo + lo)
+    # Row a holds the minima of diagonals (a, a+1 .. n-1).  Unread entries
+    # stay NaN, which no cut lists; a cut is inf only if nothing was pruned.
+    mins = np.full((n - 3, n - 1), np.nan)
+    k = 3 * width - 2
+    # The k cheapest minima read so far, the k-th of them the running cut.
+    cut, low = np.inf, mins[0, :0]
     for a in range(n - 3):
-        rows = _wedge_rows(w, a)
+        xs = a + 1 + np.flatnonzero(bound[a, a + 1 :] <= cut)
+        if len(xs) < 2:
+            continue
+        rows = _wedge_rows(w, a, xs)
         r = np.arange(len(rows))
         cheapest = rows.argmin(axis=1)
         m1 = rows[r, cheapest]
         rows[r, cheapest] = np.inf
-        diag.append(m1 + rows.min(axis=1))
-    mins = np.concatenate(diag)
-    k = 3 * width - 2
-    cut = np.partition(mins, k - 1)[k - 1] if k <= mins.size else np.inf
+        dmin = m1 + rows.min(axis=1)
+        mins[a, : len(dmin)] = dmin
+        low = np.concatenate([low, dmin])
+        if len(low) >= k:
+            low = np.partition(low, k - 1)[:k]
+            cut = low[k - 1]
 
     walks, weights = [], []
-    for a, dmin in enumerate(diag):
-        cs = np.flatnonzero(dmin <= cut)
-        if not cs.size:
-            continue
-        for c, row in zip(a + 1 + cs, _wedge_rows(w, a)[cs]):
+    owner, listed = np.nonzero(mins <= cut)
+    vertices, first = np.unique(owner, return_index=True)
+    for a, offsets in zip(vertices.tolist(), np.split(listed, first[1:])):
+        xs = a + 1 + np.flatnonzero(bound[a, a + 1 :] <= cut)
+        for c, row in zip(a + 1 + offsets, _wedge_rows(w, a, xs)[offsets]):
             pair = row[:, None] + row[None, :]
             x, y = np.nonzero(np.triu((pair <= cut) & np.isfinite(pair), k=1))
-            corners = (np.full_like(x, a), a + 1 + x, np.full_like(x, c), a + 1 + y)
+            corners = (np.full_like(x, a), xs[x], np.full_like(x, c), xs[y])
             walks.append(np.column_stack(corners))
             weights.append(pair[x, y])
     walks = np.concatenate(walks)

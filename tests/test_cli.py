@@ -661,6 +661,27 @@ class TestUsageAndErrors:
         assert err.startswith("ringtour: error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["solve", "gen"])
+    def test_unwritable_out_names_path(self, capsys, tmp_path, command, where):
+        target, reason = {
+            "missing-directory": (tmp_path / "absent" / "x", "No such file or directory"),
+            "directory": (tmp_path, "Is a directory"),
+        }[where]
+        code, out, err = run_cli(
+            capsys, command, "--random", "n=4", "seed=1", "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"ringtour: error: cannot write {target}: {reason}\n"
+
+    def test_out_file_holds_stdout_bytes(self, capsys, tmp_path):
+        target = tmp_path / "cycles.txt"
+        argv = ("cycles", "--random", "n=5", "seed=3")
+        code, out, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, code2, out2) == (0, 0, "")
+        assert target.read_bytes() == out.encode()
+
 
 class TestBenchCommand:
     def test_small_bench_json(self, capsys):

@@ -299,13 +299,18 @@ class TestSeedFrontier:
         ]
         assert len(built_cycles) == size
 
-    @pytest.mark.parametrize("width", [1, 2, 7])
+    @pytest.mark.parametrize("width", [1, 2, 7, 40])
     @pytest.mark.parametrize(
         "label",
-        ["tenths", "negative-zero-block", "uniform", "lattice-3x4", *range(4, 9)],
+        [
+            "tenths", "negative-zero-block", "uniform", "lattice-3x4", *range(4, 9),
+            "random-40", "random-120", "last-quad", "zero-edge", "tenths-40",
+            "uniform-24",
+        ],
     )
     def test_scan_matches_partition_pass(self, label, width):
-        # pass 1's slices and argmin cut where the gather and partition did
+        # pass 1's slices and argmin cut where the gather and partition did;
+        # from "random-40" on, the running cut drops columns (but uniform-24)
         if label == "tenths":
             inst = decimal_instance(12, 12)
         elif label == "negative-zero-block":
@@ -316,12 +321,47 @@ class TestSeedFrontier:
             inst = random_instance(9, 9, (4, 4))
         elif label == "lattice-3x4":
             inst = lattice_instance(3, 4)
+        elif label in ("random-40", "random-120"):
+            n = int(label[7:])
+            inst = random_instance(n, n, (1, 100))
+        elif label == "last-quad":
+            # the cheapest quad is on the last four vertices, so the running
+            # cut reaches the final cut only at the last smallest vertex
+            w = random_instance(30, 30, (20, 100)).weights.copy()
+            edges = combinations(range(26, 30), 2)
+            for (u, v), weight in zip(edges, (1, 3, 2, 2, 3, 1)):
+                w[u, v] = w[v, u] = weight
+            inst = CompleteInstance(w)
+        elif label == "zero-edge":
+            # lo = 0: the bound is w(a, x) alone
+            w = random_instance(40, 41, (1, 100)).weights.copy()
+            w[3, 17] = w[17, 3] = 0.0
+            inst = CompleteInstance(w)
+        elif label == "tenths-40":
+            inst = decimal_instance(40, 40)
+        elif label == "uniform-24":
+            inst = random_instance(24, 24, (5, 5))
         else:
             inst = random_instance(label, label, (1, 20))
         got = heuristic._seed_scan(inst, width)
         want = reference_seed_scan(inst, width)
         for g, r in zip(got, want):
             assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
+
+    def test_scan_reads_few_wedge_cells(self, monkeypatch):
+        # on random weights the running cut keeps a few light columns per
+        # row: the scan builds under 10% of the unpruned wedge cells
+        cells, wedge_rows = [], heuristic._wedge_rows
+
+        def counting_rows(w, a, xs):
+            rows = wedge_rows(w, a, xs)
+            cells.append(rows.size)
+            return rows
+
+        monkeypatch.setattr(heuristic, "_wedge_rows", counting_rows)
+        n = 200
+        heuristic._seed_scan(random_instance(n, 24, (1, 100)), 1)
+        assert 0 < sum(cells) < 0.1 * sum((n - a - 1) ** 2 for a in range(n - 3))
 
     def test_too_small(self):
         inst = random_instance(3, 1, (1, 9))
