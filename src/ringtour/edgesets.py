@@ -212,14 +212,12 @@ def classify(edges: EdgeSet, graph) -> Classification:
     if not edges:
         return Classification(CycleKind.EMPTY, None)
 
-    deg: dict[int, int] = {}
     adj: dict[int, list[int]] = {}
     for e in edges:
         u, v = graph.endpoints(e)
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    deg = {u: len(nb) for u, nb in adj.items()}
 
     if any(d % 2 for d in deg.values()):
         return Classification(CycleKind.NOT_CYCLE, None)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 import ringtour
+import ringtour.cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_every_export_resolves():
@@ -50,3 +58,27 @@ def test_frontier_history_holds_frontiers(k6):
     hist = ringtour.solve(k6, trace=True).trace.frontier_history
     assert all(isinstance(f, ringtour.Frontier) for f in hist)
     assert [f.length for f in hist] == [4, 5, 6]
+
+
+def test_benchmark_wrap_targets_resolve_and_count(capsys, monkeypatch):
+    # perfbench's tracer skips a wrap target it cannot find and drops the
+    # counts of a result that changed shape; either only blanks the
+    # benchmark's per-layer metrics, so a refactor must fail here instead
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # for its dataclass
+    spec.loader.exec_module(tracer_module)
+    inst = ringtour.random_instance(9, seed=1, weight_range=(1, 20))
+    with tracer_module.Tracer() as tracer:
+        with tracer.op(0):
+            ringtour.solve(inst)
+        with tracer.op(1):
+            argv = ["solve", "--random", "n=8", "seed=2", "--format", "json"]
+            assert ringtour.cli.main(argv) == 0
+    assert tracer.missing == []
+    json.loads(capsys.readouterr().out)
+    layers = ("heuristic.seed_frontier", "heuristic.extend_frontier")
+    for op in (0, 1):
+        spans = [s for s in tracer.spans if s["op"] == op and s["name"] in layers]
+        assert {s["name"] for s in spans} == set(layers)
+        assert all(s["counts"] for s in spans)

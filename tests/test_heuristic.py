@@ -305,7 +305,7 @@ class TestSeedFrontier:
         [
             "tenths", "negative-zero-block", "uniform", "lattice-3x4", *range(4, 9),
             "random-40", "random-120", "last-quad", "zero-edge", "tenths-40",
-            "uniform-24",
+            "uniform-24", "ties-30", "lattice-5x5",
         ],
     )
     def test_scan_matches_partition_pass(self, label, width):
@@ -341,6 +341,12 @@ class TestSeedFrontier:
             inst = decimal_instance(40, 40)
         elif label == "uniform-24":
             inst = random_instance(24, 24, (5, 5))
+        elif label == "ties-30":
+            # here and on the 5x5 lattice, one vertex lists several
+            # diagonals with different pair counts
+            inst = random_instance(30, 30, (1, 3))
+        elif label == "lattice-5x5":
+            inst = lattice_instance(5, 5)
         else:
             inst = random_instance(label, label, (1, 20))
         got = heuristic._seed_scan(inst, width)
