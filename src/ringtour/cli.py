@@ -65,7 +65,10 @@ def _render_json(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) <= _SCALARS:
+        types = set(map(type, obj))
+        if types == {int}:
+            body = (",\n" + inner).join(map(repr, obj))
+        elif types <= _SCALARS:
             body = _COMPACT(obj)[1:-1].replace(",", ",\n" + inner)
         else:
             body = (",\n" + inner).join(_render_json(item, inner) for item in obj)
@@ -79,7 +82,8 @@ class RunReport:
 
     :meth:`to_json` writes the bytes of ``json.dumps(sort_keys=True,
     indent=2)`` without that call's pure-Python encoder: a list of plain
-    ints, floats, bools and Nones is encoded compactly in C, and each comma
+    ints is joined from their ``repr``s; any other list of plain ints,
+    floats, bools and Nones is encoded compactly in C, and each comma
     becomes a comma, newline and indent.  Each comma is an item separator,
     because the JSON text of a number, ``true``, ``false`` or ``null``
     never holds one.  Dict keys must be strings.

@@ -248,6 +248,24 @@ def _parse_numbers(line: str, path: str, lineno: int) -> list[float]:
         raise
 
 
+def _read_rows(lines: list[tuple[int, str]], width: int) -> np.ndarray | None:
+    """The rows as a (len(lines), width) float64 array, parsed in C.
+
+    None when ``np.loadtxt`` refuses a row or the shape comes out wrong.
+    The caller then walks the rows with ``float()``, which also takes the
+    literals ``loadtxt`` refuses (``1_000``, Unicode digits) and names the
+    first bad line; every value ``loadtxt`` does take is the one ``float()``
+    gives, since both parse with the same C routine.
+    """
+    try:
+        rows = np.loadtxt(
+            [line for _, line in lines], dtype=np.float64, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(lines), width) else None
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(file line number, line) for every line that is not blank or a comment."""
     return [
@@ -279,12 +297,14 @@ def parse_matrix_text(text: str, path: str = "<matrix>") -> CompleteInstance:
     n = _parse_order(lines, path)
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for k, line in lines[1:]:
-        row = _parse_numbers(line, path, k)
-        if len(row) != n:
-            raise ParseError(f"{path}:{k}: expected {n} entries, found {len(row)}")
-        rows.append(row)
+    rows = _read_rows(lines[1:], n)
+    if rows is None:
+        rows = []
+        for k, line in lines[1:]:
+            row = _parse_numbers(line, path, k)
+            if len(row) != n:
+                raise ParseError(f"{path}:{k}: expected {n} entries, found {len(row)}")
+            rows.append(row)
     return CompleteInstance(rows)
 
 
@@ -318,14 +338,18 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
     n = _parse_order(lines, path)
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} coordinate rows, found {len(lines) - 1}")
-    pts = []
-    for k, line in lines[1:]:
-        row = _parse_numbers(line, path, k)
-        if len(row) != 2:
-            raise ParseError(f"{path}:{k}: expected `x y`, found {len(row)} values")
-        if not all(map(math.isfinite, row)):
-            raise ParseError(f"{path}:{k}: coordinates must be finite")
-        pts.append((row[0], row[1]))
+    block = _read_rows(lines[1:], 2)
+    if block is not None and np.isfinite(block).all():
+        pts = block.tolist()
+    else:  # the walk names the first bad line
+        pts = []
+        for k, line in lines[1:]:
+            row = _parse_numbers(line, path, k)
+            if len(row) != 2:
+                raise ParseError(f"{path}:{k}: expected `x y`, found {len(row)} values")
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"{path}:{k}: coordinates must be finite")
+            pts.append((row[0], row[1]))
     at = [k for k, _ in lines[1:]]
     w = np.zeros((n, n), dtype=np.float64)
     for i in range(n):

@@ -35,7 +35,6 @@ class OracleResult:
     method: str
 
 
-@lru_cache(maxsize=8)
 def _perm_rows(k: int) -> np.ndarray:
     """All permutations of 0..k-1 with first entry < last entry.
 
@@ -55,6 +54,26 @@ def _perm_rows(k: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=8)
+def _tour_cells(n: int) -> np.ndarray:
+    """Flat cells ``i*n + j`` of the weight matrix read by each tour of K_n.
+
+    An int16 (n, (n-1)!/2) array, one column per :func:`_perm_rows` tour
+    with vertex 0 prepended: row 0 holds (0, first), row 1 (last, 0) and
+    row 2 + k the path edge (r_k, r_k+1).  Summing the rows in order adds
+    each tour's weights in the order the enumeration has always used.
+    """
+    rows = _perm_rows(n - 1)
+    rows += 1  # vertices 1..n-1 (0-based), v0 fixed first
+    cells = np.empty((n, rows.shape[0]), dtype=np.int16)
+    cells[0] = rows[:, 0]
+    np.multiply(rows[:, -1], n, out=cells[1])
+    np.multiply(rows[:, :-1].T, n, out=cells[2:])
+    cells[2:] += rows[:, 1:].T
+    cells.setflags(write=False)
+    return cells
+
+
 def brute_force(inst: CompleteInstance) -> OracleResult:
     """Enumerate every undirected tour; exact minimum and tie count."""
     n = inst.n
@@ -62,17 +81,17 @@ def brute_force(inst: CompleteInstance) -> OracleResult:
         raise DomainError(
             f"brute force handles 3 <= n <= {BRUTE_FORCE_MAX_N}, got n={n}"
         )
-    w = inst.weights
-    rows = _perm_rows(n - 1) + 1  # vertices 1..n-1 (0-based), v0 fixed first
-    total = w[0, rows[:, 0]] + w[rows[:, -1], 0]
-    for k in range(rows.shape[1] - 1):
-        total = total + w[rows[:, k], rows[:, k + 1]]
+    flat = inst.weights.ravel()
+    cells = _tour_cells(n)
+    total = flat[cells[0]] + flat[cells[1]]
+    for row in cells[2:]:
+        total += flat[row]
     optimum = float(total.min())
     ties = np.nonzero(total == optimum)[0]
-    best = tuple(int(v) + 1 for v in rows[ties[0]])  # rows are in lexicographic order
+    best = cells[:, ties[0]]  # columns are in lexicographic order
     return OracleResult(
         optimum=optimum,
-        tour=(1,) + best,
+        tour=(1, int(best[0]) + 1, *(int(c) % n + 1 for c in best[2:])),
         optimal_count=int(ties.size),
         method="permutation",
     )

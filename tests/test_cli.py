@@ -878,6 +878,21 @@ class TestRunReport:
 
     @pytest.mark.parametrize(
         "results",
+        [
+            {"ints": [0, -7, 2**70, 12], "one": [5]},
+            {"bools": [True, False, True], "int-bool": [1, True, 0, False]},
+            {"int-float": [1, 2.0, -3, 0.5], "float-int": [2.5, 1]},
+            {"nested": [[1, 2], [3, [4, 5]], [], [[6]]], "rows": ([1], (2, 3))},
+        ],
+        ids=["ints", "bools", "int-float", "nested"],
+    )
+    def test_int_lists(self, results):
+        # a list of plain ints is joined in Python, every other scalar list in C
+        report = RunReport("x", {}, {}, results, trace=[results])
+        assert report.to_json() == indent_dumps(report)
+
+    @pytest.mark.parametrize(
+        "results",
         [{"v": np.int64(3)}, {"v": [1, np.int64(3)]}, {(1, 2): 0}, {1: "a"}],
         ids=["numpy-int", "numpy-int-in-list", "tuple-key", "int-key"],
     )

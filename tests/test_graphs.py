@@ -17,6 +17,7 @@ from ringtour import (
     InvalidInstanceError,
     NegativeWeightError,
     ParseError,
+    RingtourError,
     edge_endpoints,
     edge_id,
     load_instance,
@@ -25,6 +26,8 @@ from ringtour import (
     parse_upper_text,
     random_instance,
 )
+from ringtour import graphs
+from ringtour.cli import main
 from ringtour.graphs import RANDOM_MAX_N
 
 
@@ -245,6 +248,90 @@ class TestParsing:
         path.write_text("# c\n\n3\n0 1 2\n1 0 x\n2 3 0\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}:5: not a number: 'x'")):
             load_instance(InstanceSource(kind="matrix", path=path))
+
+
+def _matrix(a="1", sep=" ", eol="\n"):
+    rows = [["3"], ["0", a, "2"], [a, "0", "3"], ["2", "3", "0"]]
+    return eol.join(sep.join(row) for row in rows) + eol
+
+
+def _coords(a="1", sep=" ", eol="\n"):
+    rows = [["3"], ["0", "0"], [a, "1"], ["6", "0"]]
+    return eol.join(sep.join(row) for row in rows) + eol
+
+
+# (kind, file text, whether np.loadtxt reads the rows)
+FALLBACK_CASES = {
+    **{
+        f"{kind}-{name}": (kind, make(a), fast)
+        for kind, make in [("matrix", _matrix), ("coords", _coords)]
+        for name, a, fast in [
+            ("underscore", "1_000", False),
+            ("arabic-indic", "\u0661", False),
+            ("fullwidth", "\uff11", False),
+            ("minus-zero", "-0", True),
+            ("overflow", "1e500", True),
+            ("nan", "nan", True),
+        ]
+    },
+    **{
+        f"{kind}-sep-{name}": (kind, make(sep=sep), True)
+        for kind, make in [("matrix", _matrix), ("coords", _coords)]
+        for name, sep in [
+            ("tab", "\t"), ("nbsp", "\xa0"), ("thin", "\u2009"), ("ideographic", "\u3000")
+        ]
+    },
+    "matrix-inline-comment": ("matrix", "3\n0 1 2 # note\n1 0 3\n2 3 0\n", False),
+    "coords-inline-comment": ("coords", "3\n0 0 # origin\n1 1\n6 0\n", False),
+    "matrix-ragged": ("matrix", "3\n0 1 2\n1 0\n2 3 0\n", False),
+    "coords-ragged": ("coords", "3\n0 0\n1\n6 0\n", False),
+    "matrix-too-wide": ("matrix", "3\n0 1 2 9\n1 0 3 9\n2 3 0 9\n", False),
+    "coords-too-wide": ("coords", "3\n0 0 0\n1 1 1\n6 0 0\n", False),
+    "matrix-crlf": ("matrix", _matrix(eol="\r\n"), True),
+    "coords-crlf": ("coords", _coords(eol="\r\n"), True),
+    "matrix-trailing": ("matrix", _matrix() + "\n# end\n  \n", True),
+    "coords-trailing": ("coords", _coords() + "\n# end\n  \n", True),
+    # the walk keeps today's order: a non-finite row before a bad token wins
+    "coords-inf-then-token": ("coords", "3\n0 0\ninf 1\n1_000 x\n", False),
+    "coords-token-then-nan": ("coords", "3\n0 0\n1 x\nnan 1\n", False),
+}
+
+
+class TestParseFallback:
+    """np.loadtxt and the per-row float() walk give the same instance or error."""
+
+    @staticmethod
+    def outcome(capsys, kind, path):
+        """weights.tobytes(), or the CLI's (exit code, stderr) on a bad file."""
+        try:
+            return load_instance(InstanceSource(kind=kind, path=path)).weights.tobytes()
+        except RingtourError:
+            code = main(["solve", f"--{kind}", str(path)])
+            return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_walk_matches_loadtxt(self, capsys, monkeypatch, tmp_path, case):
+        kind, text, fast = FALLBACK_CASES[case]
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(text.encode())
+        read_rows = graphs._read_rows
+        taken = []
+
+        def spy(lines, width):
+            taken.append(read_rows(lines, width))
+            return taken[-1]
+
+        monkeypatch.setattr(graphs, "_read_rows", spy)
+        got = self.outcome(capsys, kind, path)
+        assert (taken[0] is not None) == fast  # a bad file is loaded twice
+        monkeypatch.setattr(graphs, "_read_rows", lambda lines, width: None)
+        assert self.outcome(capsys, kind, path) == got
+
+    def test_values_follow_float(self):
+        text = "3\n0 1_000 \u0662.5\n1_000 0 -0\n\u0662.5 -0 0\n"
+        w = parse_matrix_text(text).weights
+        assert w.tolist() == [[0, 1000, 2.5], [1000, 0, 0], [2.5, 0, 0]]
+        assert np.signbit(w[1, 2]) and np.signbit(w[2, 1])
 
 
 class TestRandomInstance:

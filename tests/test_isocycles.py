@@ -5,7 +5,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -284,10 +284,10 @@ class TestIsometricCycles:
     @pytest.mark.parametrize("p", [0.15, 0.3, 0.5, 0.8])
     @pytest.mark.parametrize("n", range(4, 17))
     def test_random_graphs_match_reference(self, n, p):
-        graphs = [random_graph(n, seed, p) for seed in range(6)]
-        connected = [g for g in graphs if is_connected(g)]
-        if not connected:
-            pytest.skip("every random graph came out disconnected")
+        # the first six connected draws; p = 0.15 at n = 5 needs 220 seeds
+        graphs = (random_graph(n, seed, p) for seed in range(1000))
+        connected = list(islice(filter(is_connected, graphs), 6))
+        assert len(connected) == 6
         for g in connected:
             self.assert_matches_reference(g)
 

@@ -19,7 +19,7 @@ from ringtour import (
     random_instance,
     solve,
 )
-from ringtour.oracle import BRUTE_FORCE_MAX_N, _canonical_tour, _perm_rows
+from ringtour.oracle import BRUTE_FORCE_MAX_N, _canonical_tour, _perm_rows, _tour_cells
 
 
 def enumerate_tours(inst):
@@ -167,6 +167,17 @@ class TestBruteForce:
         assert got.dtype == np.int16
         assert got.shape == ((math.factorial(k) // 2, k) if k >= 2 else (1, k))
         assert got.tolist() == [list(p) for p in rows]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_tour_cells_in_summation_order(self, n):
+        # (v1, first), (last, v1), then the path edges, one column per tour
+        tours = [p for p in permutations(range(1, n)) if p[0] < p[-1]]
+        want = [
+            [p[0], p[-1] * n] + [a * n + b for a, b in zip(p, p[1:])] for p in tours
+        ]
+        got = _tour_cells(n)
+        assert got.dtype == np.int16 and not got.flags.writeable
+        assert got.T.tolist() == want
 
 
 class TestHeldKarp:
