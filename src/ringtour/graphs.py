@@ -338,18 +338,14 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
     n = _parse_order(lines, path)
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} coordinate rows, found {len(lines) - 1}")
-    block = _read_rows(lines[1:], 2)
-    if block is not None and np.isfinite(block).all():
-        pts = block.tolist()
-    else:  # the walk names the first bad line
-        pts = []
-        for k, line in lines[1:]:
-            row = _parse_numbers(line, path, k)
-            if len(row) != 2:
-                raise ParseError(f"{path}:{k}: expected `x y`, found {len(row)} values")
-            if not all(map(math.isfinite, row)):
-                raise ParseError(f"{path}:{k}: coordinates must be finite")
-            pts.append((row[0], row[1]))
+    pts = []
+    for k, line in lines[1:]:
+        row = _parse_numbers(line, path, k)
+        if len(row) != 2:
+            raise ParseError(f"{path}:{k}: expected `x y`, found {len(row)} values")
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{k}: coordinates must be finite")
+        pts.append((row[0], row[1]))
     at = [k for k, _ in lines[1:]]
     w = np.zeros((n, n), dtype=np.float64)
     for i in range(n):

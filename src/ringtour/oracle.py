@@ -56,20 +56,18 @@ def _perm_rows(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _tour_cells(n: int) -> np.ndarray:
-    """Flat cells ``i*n + j`` of the weight matrix read by each tour of K_n.
+    """Flat cells ``i*n + j`` of the path edges of each tour of K_n.
 
-    An int16 (n, (n-1)!/2) array, one column per :func:`_perm_rows` tour
-    with vertex 0 prepended: row 0 holds (0, first), row 1 (last, 0) and
-    row 2 + k the path edge (r_k, r_k+1).  Summing the rows in order adds
-    each tour's weights in the order the enumeration has always used.
+    An int16 (n-2, (n-1)!/2) array, one column per :func:`_perm_rows` tour
+    of vertices 1..n-1 (0-based, v0 fixed first): row k holds the edge
+    (r_k, r_k+1), so ``cells[0] // n`` is the first vertex and
+    ``cells[-1] % n`` the last.
     """
     rows = _perm_rows(n - 1)
-    rows += 1  # vertices 1..n-1 (0-based), v0 fixed first
-    cells = np.empty((n, rows.shape[0]), dtype=np.int16)
-    cells[0] = rows[:, 0]
-    np.multiply(rows[:, -1], n, out=cells[1])
-    np.multiply(rows[:, :-1].T, n, out=cells[2:])
-    cells[2:] += rows[:, 1:].T
+    rows += 1
+    cells = np.empty((n - 2, rows.shape[0]), dtype=np.int16)
+    np.multiply(rows[:, :-1].T, n, out=cells)
+    cells += rows[:, 1:].T
     cells.setflags(write=False)
     return cells
 
@@ -81,17 +79,18 @@ def brute_force(inst: CompleteInstance) -> OracleResult:
         raise DomainError(
             f"brute force handles 3 <= n <= {BRUTE_FORCE_MAX_N}, got n={n}"
         )
-    flat = inst.weights.ravel()
+    w = inst.weights
+    flat = w.ravel()
     cells = _tour_cells(n)
-    total = flat[cells[0]] + flat[cells[1]]
-    for row in cells[2:]:
+    total = w[0, cells[0] // n] + w[cells[-1] % n, 0]
+    for row in cells:
         total += flat[row]
     optimum = float(total.min())
     ties = np.nonzero(total == optimum)[0]
     best = cells[:, ties[0]]  # columns are in lexicographic order
     return OracleResult(
         optimum=optimum,
-        tour=(1, int(best[0]) + 1, *(int(c) % n + 1 for c in best[2:])),
+        tour=(1, *(int(c) // n + 1 for c in best), int(best[-1]) % n + 1),
         optimal_count=int(ties.size),
         method="permutation",
     )

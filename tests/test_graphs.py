@@ -260,11 +260,12 @@ def _coords(a="1", sep=" ", eol="\n"):
     return eol.join(sep.join(row) for row in rows) + eol
 
 
-# (kind, file text, whether np.loadtxt reads the rows)
+SEPARATORS = {"tab": "\t", "nbsp": "\xa0", "thin": "\u2009", "ideographic": "\u3000"}
+
+# (matrix file text, whether np.loadtxt reads the rows)
 FALLBACK_CASES = {
     **{
-        f"{kind}-{name}": (kind, make(a), fast)
-        for kind, make in [("matrix", _matrix), ("coords", _coords)]
+        name: (_matrix(a), fast)
         for name, a, fast in [
             ("underscore", "1_000", False),
             ("arabic-indic", "\u0661", False),
@@ -274,45 +275,31 @@ FALLBACK_CASES = {
             ("nan", "nan", True),
         ]
     },
-    **{
-        f"{kind}-sep-{name}": (kind, make(sep=sep), True)
-        for kind, make in [("matrix", _matrix), ("coords", _coords)]
-        for name, sep in [
-            ("tab", "\t"), ("nbsp", "\xa0"), ("thin", "\u2009"), ("ideographic", "\u3000")
-        ]
-    },
-    "matrix-inline-comment": ("matrix", "3\n0 1 2 # note\n1 0 3\n2 3 0\n", False),
-    "coords-inline-comment": ("coords", "3\n0 0 # origin\n1 1\n6 0\n", False),
-    "matrix-ragged": ("matrix", "3\n0 1 2\n1 0\n2 3 0\n", False),
-    "coords-ragged": ("coords", "3\n0 0\n1\n6 0\n", False),
-    "matrix-too-wide": ("matrix", "3\n0 1 2 9\n1 0 3 9\n2 3 0 9\n", False),
-    "coords-too-wide": ("coords", "3\n0 0 0\n1 1 1\n6 0 0\n", False),
-    "matrix-crlf": ("matrix", _matrix(eol="\r\n"), True),
-    "coords-crlf": ("coords", _coords(eol="\r\n"), True),
-    "matrix-trailing": ("matrix", _matrix() + "\n# end\n  \n", True),
-    "coords-trailing": ("coords", _coords() + "\n# end\n  \n", True),
-    # the walk keeps today's order: a non-finite row before a bad token wins
-    "coords-inf-then-token": ("coords", "3\n0 0\ninf 1\n1_000 x\n", False),
-    "coords-token-then-nan": ("coords", "3\n0 0\n1 x\nnan 1\n", False),
+    **{f"sep-{name}": (_matrix(sep=sep), True) for name, sep in SEPARATORS.items()},
+    "inline-comment": ("3\n0 1 2 # note\n1 0 3\n2 3 0\n", False),
+    "ragged": ("3\n0 1 2\n1 0\n2 3 0\n", False),
+    "too-wide": ("3\n0 1 2 9\n1 0 3 9\n2 3 0 9\n", False),
+    "crlf": (_matrix(eol="\r\n"), True),
+    "trailing": (_matrix() + "\n# end\n  \n", True),
 }
 
 
 class TestParseFallback:
-    """np.loadtxt and the per-row float() walk give the same instance or error."""
+    """np.loadtxt and the per-row float() walk give the same matrix or error."""
 
     @staticmethod
-    def outcome(capsys, kind, path):
+    def outcome(capsys, path):
         """weights.tobytes(), or the CLI's (exit code, stderr) on a bad file."""
         try:
-            return load_instance(InstanceSource(kind=kind, path=path)).weights.tobytes()
+            return load_instance(InstanceSource(kind="matrix", path=path)).weights.tobytes()
         except RingtourError:
-            code = main(["solve", f"--{kind}", str(path)])
+            code = main(["solve", "--matrix", str(path)])
             return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("case", FALLBACK_CASES)
     def test_walk_matches_loadtxt(self, capsys, monkeypatch, tmp_path, case):
-        kind, text, fast = FALLBACK_CASES[case]
-        path = tmp_path / f"{kind}.txt"
+        text, fast = FALLBACK_CASES[case]
+        path = tmp_path / "matrix.txt"
         path.write_bytes(text.encode())
         read_rows = graphs._read_rows
         taken = []
@@ -322,16 +309,32 @@ class TestParseFallback:
             return taken[-1]
 
         monkeypatch.setattr(graphs, "_read_rows", spy)
-        got = self.outcome(capsys, kind, path)
+        got = self.outcome(capsys, path)
         assert (taken[0] is not None) == fast  # a bad file is loaded twice
         monkeypatch.setattr(graphs, "_read_rows", lambda lines, width: None)
-        assert self.outcome(capsys, kind, path) == got
+        assert self.outcome(capsys, path) == got
 
     def test_values_follow_float(self):
         text = "3\n0 1_000 \u0662.5\n1_000 0 -0\n\u0662.5 -0 0\n"
         w = parse_matrix_text(text).weights
         assert w.tolist() == [[0, 1000, 2.5], [1000, 0, 0], [2.5, 0, 0]]
         assert np.signbit(w[1, 2]) and np.signbit(w[2, 1])
+
+    @pytest.mark.parametrize(
+        "text, same_as",
+        [
+            (_coords("1_000"), _coords("1000")),
+            (_coords("\u0661"), _coords("1")),
+            (_coords("\uff11"), _coords("1")),
+            (_coords("-0"), _coords("0")),
+            *((_coords(sep=sep), _coords()) for sep in SEPARATORS.values()),
+            (_coords(eol="\r\n"), _coords()),
+            (_coords() + "\n# end\n  \n", _coords()),
+        ],
+    )
+    def test_coords_follow_float(self, text, same_as):
+        got = parse_coords_text(text).weights
+        assert got.tobytes() == parse_coords_text(same_as).weights.tobytes()
 
 
 class TestRandomInstance:
