@@ -194,10 +194,6 @@ class Classification:
     kind: CycleKind
     cycle: Cycle | None
 
-    @property
-    def is_cyclic(self) -> bool:
-        return self.kind in (CycleKind.SIMPLE_CYCLE, CycleKind.QUASICYCLE)
-
 
 def classify(edges: EdgeSet, graph) -> Classification:
     """Classify an edge set against its host graph.

@@ -18,6 +18,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,6 +68,18 @@ def edge_endpoints(eid: int, n: int) -> tuple[int, int]:
     return a, b
 
 
+def _symmetric(n: int, values, dtype) -> np.ndarray:
+    """n x n matrix with ``values[e - 1]`` in both cells of edge e.
+
+    ``values`` runs in edge-id order (the strict upper triangle row by row).
+    Both triangles are stored, not summed as ``w + w.T``, so -0.0 keeps its sign.
+    """
+    upper = ~np.tri(n, dtype=bool)
+    w = np.zeros((n, n), dtype=dtype)
+    w[upper] = w.T[upper] = np.asarray(values, dtype=dtype)
+    return w
+
+
 @functools.lru_cache(maxsize=8)
 def edge_id_table(n: int) -> np.ndarray:
     """:func:`edge_id` of K_n over 0-based endpoints.
@@ -74,12 +87,8 @@ def edge_id_table(n: int) -> np.ndarray:
     A read-only n x n matrix, 0 on the diagonal, in the narrowest unsigned
     dtype that holds every id; a frontier's keys take the same dtype.
     """
-    ids = np.zeros((n, n), dtype=np.min_scalar_type(n * (n - 1) // 2))
-    first = 1
-    for a in range(n - 1):
-        # Row a's edges (a, b), b > a, hold the next n-1-a ids in order.
-        ids[a, a + 1 :] = ids[a + 1 :, a] = np.arange(first, first + n - 1 - a)
-        first += n - 1 - a
+    m = n * (n - 1) // 2
+    ids = _symmetric(n, np.arange(1, m + 1), np.min_scalar_type(m))
     ids.setflags(write=False)
     return ids
 
@@ -314,18 +323,15 @@ def parse_upper_text(text: str, path: str = "<upper>") -> CompleteInstance:
     n = _parse_order(lines, path)
     if len(lines) != n:
         raise ParseError(f"{path}: expected {n - 1} upper rows, found {len(lines) - 1}")
-    w = np.zeros((n, n), dtype=np.float64)
+    values: list[float] = []
     for i, (k, line) in enumerate(lines[1:], start=1):
         row = _parse_numbers(line, path, k)
         if len(row) != n - i:
             raise ParseError(
                 f"{path}:{k}: expected {n - i} entries for row {i}, found {len(row)}"
             )
-        for off, val in enumerate(row):
-            j = i + 1 + off
-            w[i - 1, j - 1] = val
-            w[j - 1, i - 1] = val
-    return CompleteInstance(w)
+        values += row
+    return CompleteInstance(_symmetric(n, values, np.float64))
 
 
 def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
@@ -346,17 +352,15 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
         if not all(map(math.isfinite, row)):
             raise ParseError(f"{path}:{k}: coordinates must be finite")
         pts.append((row[0], row[1]))
-    at = [k for k, _ in lines[1:]]
-    w = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-            if not math.isfinite(d):
-                raise ParseError(
-                    f"{path}:{at[j]}: distance to the point on line {at[i]} overflows"
-                )
-            w[i, j] = w[j, i] = math.floor(d + 0.5)
-    return CompleteInstance(w)
+    # math.hypot per pair, in edge-id order; np.hypot can differ in the last bit.
+    d = np.array([math.hypot(x - u, y - v) for (x, y), (u, v) in combinations(pts, 2)])
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        a, b = edge_endpoints(int(bad[0]) + 1, n)
+        raise ParseError(
+            f"{path}:{lines[b][0]}: distance to the point on line {lines[a][0]} overflows"
+        )
+    return CompleteInstance(_symmetric(n, np.floor(d + 0.5), np.float64))
 
 
 def random_instance(
@@ -381,11 +385,9 @@ def random_instance(
             f"random instances are capped at n={RANDOM_MAX_N}, got n={n}"
         )
     rng = random.Random(seed)
-    w = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = rng.randint(lo, hi)
-    return CompleteInstance(w)
+    m = n * (n - 1) // 2
+    draws = (rng.randint(lo, hi) for _ in range(m))
+    return CompleteInstance(_symmetric(n, np.fromiter(draws, np.float64, m), np.float64))
 
 
 def load_instance(source: InstanceSource) -> CompleteInstance:

@@ -79,6 +79,16 @@ class TestEdgeNumbering:
         with pytest.raises(DomainError):
             inst.endpoints(m + 1)
 
+    # n = 23/24 and 362/363 straddle the uint8 -> uint16 -> uint32 steps
+    @pytest.mark.parametrize("n", [*range(3, 31), 362, 363])
+    def test_edge_id_table(self, n):
+        ids = graphs.edge_id_table(n)
+        assert ids.dtype == (np.uint8 if n <= 23 else np.uint16 if n <= 362 else np.uint32)
+        assert not ids.flags.writeable
+        vertices = range(1, n + 1)
+        expected = [[edge_id(i, j, n) if i != j else 0 for j in vertices] for i in vertices]
+        assert np.array_equal(ids, expected)
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             edge_id(0, 2, 5)
@@ -225,6 +235,12 @@ class TestParsing:
                 "# c\n\n3\n1e308 0\n\n0 0\n# p\n-1e308 0\n",
                 ":8: distance to the point on line 4 overflows",
             ),
+            (
+                # pairs (1, 4) and (2, 3) overflow; (1, 4) comes first in edge order
+                parse_coords_text,
+                "# c\n4\n1e308 0\n\n0 1e308\n0 -1e308\n# p\n-1e308 0\n",
+                ":8: distance to the point on line 3 overflows",
+            ),
         ],
         ids=[
             "matrix-number",
@@ -237,6 +253,7 @@ class TestParsing:
             "coords-entries",
             "coords-finite",
             "coords-overflow",
+            "coords-overflow-edge-order",
         ],
     )
     def test_error_lines_count_comments_and_blanks(self, parse, text, where):
@@ -315,10 +332,13 @@ class TestParseFallback:
         assert self.outcome(capsys, path) == got
 
     def test_values_follow_float(self):
-        text = "3\n0 1_000 \u0662.5\n1_000 0 -0\n\u0662.5 -0 0\n"
-        w = parse_matrix_text(text).weights
-        assert w.tolist() == [[0, 1000, 2.5], [1000, 0, 0], [2.5, 0, 0]]
-        assert np.signbit(w[1, 2]) and np.signbit(w[2, 1])
+        # -0 keeps its sign in both triangles, so neither parser adds w + w.T
+        for w in (
+            parse_matrix_text("3\n0 1_000 \u0662.5\n1_000 0 -0\n\u0662.5 -0 0\n").weights,
+            parse_upper_text("3\n1_000 \u0662.5\n-0\n").weights,
+        ):
+            assert w.tolist() == [[0, 1000, 2.5], [1000, 0, 0], [2.5, 0, 0]]
+            assert np.signbit(w[1, 2]) and np.signbit(w[2, 1])
 
     @pytest.mark.parametrize(
         "text, same_as",
