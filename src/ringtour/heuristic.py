@@ -44,7 +44,8 @@ candidates.  The hits of each weight class taken are the table's flat
 indices, unravelled into (candidate, walk edge, apex) in row-major scan
 order, and are keyed by the child's sorted edge ids straight from those
 indices; duplicates merge on the keys, and one gather builds the kept
-children's walks.  A round builds no Python object per child.
+children's walks.  Each lookup is one gather or scatter on a raveled
+array, and a round builds no Python object per child.
 """
 
 from __future__ import annotations
@@ -306,23 +307,22 @@ def _insertion_table(
     + w(v,o)) - w(u,v)) for walk edge k = (u, v) and free vertex j = o,
     summed in that order so ties are exact.  Each block of candidates, at
     most ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one
-    gather.
+    gather, and weight (u, v) is cell u * n + v of the raveled matrix.
     """
     n, (size, length) = inst.n, frontier.walks.shape
-    w = inst.weights
     walks = np.concatenate([frontier.walks, frontier.walks[:, :1]], axis=1) - 1
     free = np.ones((size, n), dtype=bool)
-    free[np.arange(size)[:, None], walks] = False
+    free.ravel()[walks + np.arange(0, size * n, n)[:, None]] = False
     outs = np.nonzero(free)[1].reshape(size, n - length)
 
     vals = np.empty((size, length, n - length))
-    flat, rows = w.ravel(), walks.astype(np.intp) * n
+    flat, rows = inst.weights.ravel(), walks.astype(np.intp) * n
     step = max(1, _GATHER_CELLS // ((length + 1) * (n - length)))
     for lo in range(0, size, step):
         hi = lo + step
         ends = flat[rows[lo:hi, :, None] + outs[lo:hi, None, :]]
         np.add(ends[:, :-1], ends[:, 1:], out=vals[lo:hi])
-    vals -= w[walks[:, :-1], walks[:, 1:]][:, :, None]
+        vals[lo:hi] -= flat[rows[lo:hi, :-1] + walks[lo:hi, 1:]][:, :, None]
     vals += frontier.weights[:, None, None]
     return walks, outs, vals
 
@@ -355,23 +355,24 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         raise DomainError("frontier already spans all vertices")
 
     walks, outs, vals = _insertion_table(inst, frontier)
-    ids = edge_id_table(n)
+    ids = edge_id_table(n).ravel()
     dtype = ids.dtype
-    walk_ids = ids[walks[:, :-1], walks[:, 1:]]
+    # Flat cells: edge (u, v) at u * n + v, walk (f, k) at f * (L + 1) + k.
+    starts = walks.astype(np.intp).ravel() * n
+    walk_ids = ids[starts.reshape(walks.shape)[:, :-1] + walks[:, 1:]]
     # Big-endian bytes of a sorted id row compare as the ids do, so one
     # void item per row sorts and merges the rows as their keys.
     row_bytes = np.dtype((np.void, dtype.itemsize * (length + 1)))
     parts, held = [], None
     for cls in _weight_classes(vals):
         f, i, o = np.unravel_index(np.flatnonzero(vals == cls), vals.shape)
-        hits = np.arange(len(f))
-        apex = outs[f, o]
+        apex = outs.ravel()[f * (n - length) + o]
         # The child's edge ids: the parent's, with walk edge i replaced by
         # one apex edge and the other appended; sorted, each row is its key.
-        keys = np.empty((len(f), length + 1), dtype=dtype)
-        keys[:, :-1] = walk_ids[f]
-        keys[hits, i] = ids[walks[f, i], apex]
-        keys[:, -1] = ids[walks[f, i + 1], apex]
+        edge = f * (length + 1) + i
+        head, tail = ids[starts[edge] + apex], ids[starts[edge + 1] + apex]
+        keys = np.concatenate([walk_ids[f], tail[:, None]], axis=1)
+        keys.ravel()[np.arange(0, keys.size, length + 1) + i] = head
         keys.sort(axis=1)
         # Each distinct key's first hit, in key order.
         row_keys = keys.astype(dtype.newbyteorder(">")).view(row_bytes).ravel()
@@ -390,10 +391,13 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         if len(held) >= frontier.beam:
             break
 
-    rows, splits, apexes, keys, weights = (np.concatenate(col) for col in zip(*parts))
+    # One class, the usual case off ties, needs no concatenation.
+    cols = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    rows, splits, apexes, keys, weights = cols
     pos = np.arange(length + 1)
-    children = frontier.walks[rows[:, None], pos - (pos > splits[:, None])]
-    children[np.arange(len(rows)), splits + 1] = apexes
+    cells = rows[:, None] * length + (pos - (pos > splits[:, None]))
+    children = frontier.walks.ravel()[cells]
+    children.ravel()[np.arange(0, children.size, length + 1) + splits + 1] = apexes
     rounds = frontier._rounds + ((rows, splits, apexes),)
     root = frontier._root or frontier
     return Frontier(children, keys, weights, frontier.beam, frontier.m, root, rounds)

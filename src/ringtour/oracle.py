@@ -58,16 +58,17 @@ def _perm_rows(k: int) -> np.ndarray:
 def _tour_cells(n: int) -> np.ndarray:
     """Flat cells ``i*n + j`` of the path edges of each tour of K_n.
 
-    An int16 (n-2, (n-1)!/2) array, one column per :func:`_perm_rows` tour
+    A uint8 (n-2, (n-1)!/2) array, one column per :func:`_perm_rows` tour
     of vertices 1..n-1 (0-based, v0 fixed first): row k holds the edge
     (r_k, r_k+1), so ``cells[0] // n`` is the first vertex and
     ``cells[-1] % n`` the last.
     """
     rows = _perm_rows(n - 1)
     rows += 1
-    cells = np.empty((n - 2, rows.shape[0]), dtype=np.int16)
-    np.multiply(rows[:, :-1].T, n, out=cells)
-    cells += rows[:, 1:].T
+    cells = np.empty((n - 2, rows.shape[0]), dtype=np.uint8)
+    # The unsafe casts lose nothing: cells i * n + j stay below n * n <= 100.
+    np.multiply(rows[:, :-1].T, n, out=cells, casting="unsafe")
+    np.add(cells, rows[:, 1:].T, out=cells, casting="unsafe")
     cells.setflags(write=False)
     return cells
 

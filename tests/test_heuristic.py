@@ -670,6 +670,18 @@ def reference_round(inst, frontier):
     return (children, keys, weights), (rows, splits, apexes)
 
 
+def checked_round(inst, frontier):
+    """``extend_frontier``, its rows and lineage equal to ``reference_round``'s."""
+    want, want_lineage = reference_round(inst, frontier)
+    frontier = extend_frontier(inst, frontier)
+    got = (frontier.walks, frontier.keys, frontier.weights)
+    got, want = (*got, *frontier._rounds[-1]), (*want, *want_lineage)
+    assert len(got) == len(want) == 6
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+    return frontier
+
+
 class TestHitOrder:
     @pytest.mark.parametrize(
         "inst, beam, rounds",
@@ -684,14 +696,26 @@ class TestHitOrder:
             size, length = frontier.walks.shape
             cells = size * (length + 1) * (inst.n - length)
             spans.append(cells > heuristic._GATHER_CELLS and 2 * length != inst.n)
-            want, want_lineage = reference_round(inst, frontier)
-            frontier = extend_frontier(inst, frontier)
-            got = (frontier.walks, frontier.keys, frontier.weights)
-            got, want = (*got, *frontier._rounds[-1]), (*want, *want_lineage)
-            assert len(got) == len(want) == 6
-            for g, r in zip(got, want):
-                assert g.dtype == r.dtype and np.array_equal(g, r)
+            frontier = checked_round(inst, frontier)
         assert any(spans)
+
+    @pytest.mark.parametrize(
+        "inst, beam",
+        [
+            (random_instance(60, 60, (1, 100)), 1),
+            (CompleteInstance(np.full((7, 7), -0.0)), "all-ties"),
+            (decimal_instance(30, 30), 5),
+            (lattice_instance(3, 4), 2),
+        ],
+        ids=["random-60-beam1", "negzero-7", "tenths-30-beam5", "lattice-3x4-beam2"],
+    )
+    def test_every_round_matches_reference(self, inst, beam):
+        # single-candidate rounds with uint16 ids and L != n - L, an
+        # all-ties frontier of -0.0 sums, several classes a round, and
+        # lattice ties, each grown to a tour
+        frontier = seed_frontier(inst, beam)
+        while frontier.length < inst.n:
+            frontier = checked_round(inst, frontier)
 
 
 def triangle_edges(inst, triangle):

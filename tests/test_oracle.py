@@ -168,13 +168,14 @@ class TestBruteForce:
         assert got.shape == ((math.factorial(k) // 2, k) if k >= 2 else (1, k))
         assert got.tolist() == [list(p) for p in rows]
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_tour_cells_are_path_edges(self, n):
         # the path edges in order, one column per tour
         tours = [p for p in permutations(range(1, n)) if p[0] < p[-1]]
         want = [[a * n + b for a, b in zip(p, p[1:])] for p in tours]
         got = _tour_cells(n)
-        assert got.dtype == np.int16 and not got.flags.writeable
+        assert got.dtype == np.uint8 and not got.flags.writeable
+        assert got.max() < n * n
         assert got.T.tolist() == want
 
 
