@@ -5,8 +5,8 @@ and the bitmask subset dynamic program (n <= 20).  Both return the exact
 optimum; enumeration also counts how many distinct undirected tours attain
 it.  Sizes above the caps fail fast rather than attempt infeasible runs.
 
-The subset dynamic program keeps one end-by-subset table per popcount
-layer and fills it one end vertex at a time with a gather, add and min.
+The subset dynamic program keeps one mask-ordered end-by-subset table per
+popcount layer and fills it one end at a time with a gather, add and min.
 It keeps no parent pointers: the path is recomputed from the tables.
 """
 
@@ -104,9 +104,11 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
     minimum over i of its cost through ``S - {j}`` ending at i, plus
     ``w(i, j)``.  Layer s holds these costs for the size-s subsets as one
     (n-1, C(n-1, s)) table: a row per end (inf for an end outside the
-    subset), a column per subset in ascending mask order.  Each (layer,
-    end) step is one gather of the previous layer's columns, one add and
-    one min; the tables take 2^(n-1)·(n-1)·8 bytes in all.
+    subset), a column per subset in ascending mask order, from one stable
+    sort by popcount.  Dropping j maps the size-s subsets holding j, in
+    order, onto the size-(s-1) subsets lacking j, so step (s, j) is one
+    gather of the columns lacking j, one add and one min into the columns
+    holding j; the tables take 2^(n-1)·(n-1)·8 bytes in all.
 
     The path is walked back from the full set, taking as predecessor the
     first i whose sum reproduces the table entry (the first minimiser),
@@ -122,22 +124,21 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
     w = inst.weights
     k = n - 1  # vertices 1..n-1 (0-based), relative to fixed vertex 0
     wsub = w[1:, 1:]
-    masks = np.arange(1 << k, dtype=np.int32)
-    sizes = sum((masks >> j) & 1 for j in range(k))  # popcounts
-    rank = np.empty(1 << k, dtype=np.int32)  # column of each subset in its layer
-    rank[1 << np.arange(k)] = np.arange(k)
+    sizes = np.bitwise_count(np.arange(1 << k))  # popcount of each mask
+    order = np.argsort(sizes, kind="stable")  # masks by size, ascending within
+    subsets = np.split(order, np.searchsorted(sizes, range(1, k + 1), sorter=order))
+    bits = 1 << np.arange(k)[:, None]
+    has = np.eye(k, dtype=bool)  # has[j, t]: subset t of the layer holds j
     layers = [np.full((k, k), np.inf)]  # layers[s - 1] holds the size-s subsets
     np.fill_diagonal(layers[0], w[0, 1:])
     for size in range(2, k + 1):
-        subsets = masks[sizes == size]
-        rank[subsets] = np.arange(subsets.size)
-        nxt = np.full((k, subsets.size), np.inf)
+        lacks, has = ~has, (subsets[size] & bits) != 0
+        nxt = np.full((k, has.shape[1]), np.inf)
         for j in range(k):
-            rows = np.flatnonzero((subsets >> j) & 1)
-            # column t: costs of reaching subsets[rows[t]] via each end i
-            cost = np.take(layers[-1], rank[subsets[rows] ^ (1 << j)], axis=1)
+            # dropping j maps the t-th subset holding j to the t-th lacking j
+            cost = np.take(layers[-1], np.flatnonzero(lacks[j]), axis=1)
             cost += wsub[:, j, None]
-            nxt[j, rows] = cost.min(axis=0)
+            nxt[j, np.flatnonzero(has[j])] = cost.min(axis=0)
             del cost  # so the next gather does not coexist with this block
         layers.append(nxt)
 
@@ -145,9 +146,10 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
     path = [int(np.argmin(layers[-1][:, 0] + w[1:, 0]))]
     for size in range(k, 1, -1):
         j = path[-1]
-        reach = layers[size - 2][:, rank[mask ^ (1 << j)]] + wsub[:, j]
-        path.append(int(np.argmax(reach == layers[size - 1][j, rank[mask]])))
+        entry = layers[size - 1][j, np.searchsorted(subsets[size], mask)]
         mask ^= 1 << j
+        reach = layers[size - 2][:, np.searchsorted(subsets[size - 1], mask)]
+        path.append(int(np.argmax(reach + wsub[:, j] == entry)))
     ids = [0, *(v + 1 for v in reversed(path)), 0]
     optimum = float(np.add.accumulate(w[ids[:-1], ids[1:]])[-1])  # in DP order
     seq = _canonical_tour(tuple(v + 1 for v in ids[:-1]))
