@@ -40,12 +40,16 @@ nothing is pruned, leave it O(n^3).
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
 apex, as in cheapest insertion, filled by one gather per block of
-candidates.  The hits of each weight class taken are the table's flat
-indices, unravelled into (candidate, walk edge, apex) in row-major scan
-order, and are keyed by the child's sorted edge ids straight from those
-indices; duplicates merge on the keys, and one gather builds the kept
-children's walks.  Each lookup is one gather or scatter on a raveled
-array, and a round builds no Python object per child.
+candidates.  The round builds its walk-edge cells u * n + v once, and
+reads both w(u, v) and the walks' edge ids from them.  The hits of each
+weight class taken are the table's flat indices, split by divmod into
+(candidate, walk edge, apex) in row-major scan order, and are keyed by
+the child's sorted edge ids straight from those indices; duplicates merge
+on the keys, and one gather builds the kept children's walks.  A round
+whose first class is one hit at beam 1 has nothing to merge and builds
+no keys: its frontier derives them from its walk when they are read.
+Each lookup is one gather or scatter on a raveled array, and a round
+builds no Python object per child.
 """
 
 from __future__ import annotations
@@ -127,10 +131,13 @@ class Frontier:
     Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32),
     ``keys[r]`` its sorted edge ids (in the dtype of
     ``edge_id_table``) and ``weights[r]`` its weight; the rows come in
-    frontier order.  A grown frontier also keeps its lineage: the ``root``
-    frontier it grew from and, per extension round, three arrays over that
-    round's rows (parent row, walk position the apex went in after, apex),
-    but no walks, keys or weights.
+    frontier order.  The constructor's ``keys`` may be None, as a round
+    that merged nothing leaves them; ``keys`` is then derived from the
+    walks (the sorted ids of each row's walk edges) when first read.  A
+    grown frontier also keeps its lineage: the ``root`` frontier it grew
+    from and, per extension round, three arrays over that round's rows
+    (parent row, walk position the apex went in after, apex), but no
+    walks, keys or weights.
 
     The arrays are the only way in, and a row's weight, walk and ids are
     read off them.  ``candidates`` is a
@@ -140,10 +147,21 @@ class Frontier:
     """
 
     def __init__(self, walks, keys, weights, beam, m, root=None, rounds=()):
-        self.walks, self.keys, self.weights = walks, keys, weights
+        self.walks, self._keys, self.weights = walks, keys, weights
         self.length = walks.shape[1]
         self.beam, self.m = beam, m
         self._root, self._rounds = root, rounds
+
+    @property
+    def keys(self) -> np.ndarray:
+        if self._keys is None:
+            n = (1 + math.isqrt(1 + 8 * self.m)) // 2  # m = n(n-1)/2
+            walks = self.walks - 1
+            succ = np.concatenate([walks[:, 1:], walks[:, :1]], axis=1)
+            keys = edge_id_table(n)[walks, succ]
+            keys.sort(axis=1)
+            self._keys = keys
+        return self._keys
 
     @property
     def candidates(self) -> CycleRows:
@@ -300,31 +318,43 @@ _GATHER_CELLS = 2**16
 def _insertion_table(
     inst: CompleteInstance, frontier: Frontier
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A round's closed walks (F, L+1), free vertices (F, n-L) and table.
+    """A round's walk-edge cells (F, L), free vertices (F, n-L) and table.
 
-    Walks are 0-based here, and columns k and k+1 are walk edge k; free
-    vertices are ascending.  Table entry (f, k, j) is weights[f] + ((w(u,o)
-    + w(v,o)) - w(u,v)) for walk edge k = (u, v) and free vertex j = o,
-    summed in that order so ties are exact.  Each block of candidates, at
-    most ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one
-    gather, and weight (u, v) is cell u * n + v of the raveled matrix.
+    Walk edge k of a candidate is (u, v), its walk vertices k and k+1
+    (0-based, the walk closed), and its cell is u * n + v, the edge's flat
+    index in the weight matrix and in ``edge_id_table``; free vertices are
+    ascending.  Table entry (f, k, j) is weights[f] + ((w(u,o) + w(v,o)) -
+    w(u,v)) for walk edge k = (u, v) and free vertex j = o, summed in that
+    order so ties are exact.  Each block of candidates, at most
+    ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one
+    gather, whose intp index lives only through it; beside the table, the
+    cells are the one intp array the size of the walks.
     """
     n, (size, length) = inst.n, frontier.walks.shape
-    walks = np.concatenate([frontier.walks, frontier.walks[:, :1]], axis=1) - 1
-    free = np.ones((size, n), dtype=bool)
-    free.ravel()[walks + np.arange(0, size * n, n)[:, None]] = False
-    outs = np.nonzero(free)[1].reshape(size, n - length)
-
+    # The table first: a round too large to hold it fails before it has
+    # written anything else.
     vals = np.empty((size, length, n - length))
-    flat, rows = inst.weights.ravel(), walks.astype(np.intp) * n
+    walks = np.concatenate([frontier.walks, frontier.walks[:, :1]], axis=1) - 1
+    offsets = np.arange(0, size * n, n)
+    free = np.ones(size * n, dtype=bool)
+    free[walks + offsets[:, None]] = False
+    outs = np.flatnonzero(free).reshape(size, n - length)
+    outs -= offsets[:, None]
+
+    cells = np.multiply(walks[:, :-1], n, dtype=np.intp)
+    cells += walks[:, 1:]
+    flat = inst.weights.ravel()
     step = max(1, _GATHER_CELLS // ((length + 1) * (n - length)))
     for lo in range(0, size, step):
         hi = lo + step
-        ends = flat[rows[lo:hi, :, None] + outs[lo:hi, None, :]]
+        # Cell u * n + o for each walk vertex u and free vertex o; no name
+        # keeps the product u * n, so the gather meets only this index.
+        ends = np.multiply(walks[lo:hi, :, None], n, dtype=np.intp) + outs[lo:hi, None, :]
+        ends = flat[ends]
         np.add(ends[:, :-1], ends[:, 1:], out=vals[lo:hi])
-        vals[lo:hi] -= flat[rows[lo:hi, :-1] + walks[lo:hi, 1:]][:, :, None]
+        vals[lo:hi] -= flat[cells[lo:hi]][:, :, None]
     vals += frontier.weights[:, None, None]
-    return walks, outs, vals
+    return cells, outs, vals
 
 
 def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
@@ -338,12 +368,15 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     classes are taken cheapest first until at least B distinct cycles are
     in hand for beam B, so beam 1 ("all-ties") takes only the first.  The
     hits of a class are keyed by the child's sorted edge ids, computed
-    from the table's indices: new cycles arising from several
-    decompositions (dubl-cycles) collapse to the first in scan order
-    (class, then candidate), and a cycle an earlier class holds is not
-    kept again.  The kept children are in class order, then key order; one
-    gather builds their walks, each the parent's with its apex inserted,
-    and the round's lineage records (parent row, split position, apex).
+    from the table's indices and the walk-edge cells: new cycles arising
+    from several decompositions (dubl-cycles) collapse to the first in
+    scan order (class, then candidate), and a cycle an earlier class holds
+    is not kept again.  A first class of one hit at beam 1 ends the round
+    with nothing to merge, so it builds no keys, and the new frontier
+    derives its one key from its walk if it is read.  The kept children
+    are in class order, then key order; one gather builds their walks,
+    each the parent's with its apex inserted, and the round's lineage
+    records (parent row, split position, apex).
 
     No beam trim follows: before the last class taken fewer than B cycles
     were in hand, all cheaper than that class, so the B-th cheapest child
@@ -354,23 +387,29 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     if length >= n:
         raise DomainError("frontier already spans all vertices")
 
-    walks, outs, vals = _insertion_table(inst, frontier)
+    cells, outs, vals = _insertion_table(inst, frontier)
     ids = edge_id_table(n).ravel()
     dtype = ids.dtype
-    # Flat cells: edge (u, v) at u * n + v, walk (f, k) at f * (L + 1) + k.
-    starts = walks.astype(np.intp).ravel() * n
-    walk_ids = ids[starts.reshape(walks.shape)[:, :-1] + walks[:, 1:]]
     # Big-endian bytes of a sorted id row compare as the ids do, so one
     # void item per row sorts and merges the rows as their keys.
     row_bytes = np.dtype((np.void, dtype.itemsize * (length + 1)))
-    parts, held = [], None
+    parts, held, walk_ids = [], None, None
     for cls in _weight_classes(vals):
-        f, i, o = np.unravel_index(np.flatnonzero(vals == cls), vals.shape)
+        # Hit (f, i, o) is flat cell (f * L + i) * (n - L) + o of the table.
+        fi, o = np.divmod(np.flatnonzero(vals == cls), n - length)
+        f, i = np.divmod(fi, length)
         apex = outs.ravel()[f * (n - length) + o]
-        # The child's edge ids: the parent's, with walk edge i replaced by
-        # one apex edge and the other appended; sorted, each row is its key.
-        edge = f * (length + 1) + i
-        head, tail = ids[starts[edge] + apex], ids[starts[edge + 1] + apex]
+        if held is None and len(f) == 1 and frontier.beam == 1:
+            # one cycle ends the round: nothing to merge, so no key
+            parts.append((f, i, apex + 1, None, np.full(1, cls)))
+            break
+        if walk_ids is None:
+            walk_ids = ids[cells]
+        # The child's edge ids: the parent's, with walk edge i = (u, v)
+        # replaced by one apex edge and the other appended; sorted, each
+        # row is its key.
+        u, v = np.divmod(cells.ravel()[fi], n)
+        head, tail = ids[u * n + apex], ids[v * n + apex]
         keys = np.concatenate([walk_ids[f], tail[:, None]], axis=1)
         keys.ravel()[np.arange(0, keys.size, length + 1) + i] = head
         keys.sort(axis=1)
@@ -395,8 +434,8 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     cols = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     rows, splits, apexes, keys, weights = cols
     pos = np.arange(length + 1)
-    cells = rows[:, None] * length + (pos - (pos > splits[:, None]))
-    children = frontier.walks.ravel()[cells]
+    source = rows[:, None] * length + (pos - (pos > splits[:, None]))
+    children = frontier.walks.ravel()[source]
     children.ravel()[np.arange(0, children.size, length + 1) + splits + 1] = apexes
     rounds = frontier._rounds + ((rows, splits, apexes),)
     root = frontier._root or frontier

@@ -107,8 +107,9 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
     subset), a column per subset in ascending mask order, from one stable
     sort by popcount.  Dropping j maps the size-s subsets holding j, in
     order, onto the size-(s-1) subsets lacking j, so step (s, j) is one
-    gather of the columns lacking j, one add and one min into the columns
-    holding j; the tables take 2^(n-1)·(n-1)·8 bytes in all.
+    masked gather of the columns lacking j, one add and one min stored
+    through the mask of the columns holding j; the tables take
+    2^(n-1)·(n-1)·8 bytes in all.
 
     The path is walked back from the full set, taking as predecessor the
     first i whose sum reproduces the table entry (the first minimiser),
@@ -136,9 +137,9 @@ def held_karp(inst: CompleteInstance) -> OracleResult:
         nxt = np.full((k, has.shape[1]), np.inf)
         for j in range(k):
             # dropping j maps the t-th subset holding j to the t-th lacking j
-            cost = np.take(layers[-1], np.flatnonzero(lacks[j]), axis=1)
+            cost = np.compress(lacks[j], layers[-1], axis=1)
             cost += wsub[:, j, None]
-            nxt[j, np.flatnonzero(has[j])] = cost.min(axis=0)
+            nxt[j][has[j]] = cost.min(axis=0)
             del cost  # so the next gather does not coexist with this block
         layers.append(nxt)
 

@@ -627,9 +627,10 @@ class TestInsertionTable:
         cands, length = frontier.candidates, frontier.length
         cells = len(cands) * (length + 1) * (inst.n - length)
         assert cells > heuristic._GATHER_CELLS
-        walks, outs, vals = heuristic._insertion_table(inst, frontier)
+        walk_cells, outs, vals = heuristic._insertion_table(inst, frontier)
         orders = [walk for _, _, walk in frontier_rows(frontier)]
-        assert np.array_equal(walks[:, :-1] + 1, orders)
+        assert np.array_equal(walk_cells // inst.n + 1, orders)
+        assert np.array_equal(walk_cells % inst.n + 1, np.roll(orders, -1, axis=1))
         assert vals.tobytes() == reference_table(inst, frontier).tobytes()
 
 
@@ -640,7 +641,8 @@ def reference_round(inst, frontier):
     arrays (parent row, split position, apex).
     """
     n, length = inst.n, frontier.length
-    walks, outs, vals = heuristic._insertion_table(inst, frontier)
+    _, outs, vals = heuristic._insertion_table(inst, frontier)
+    walks = np.concatenate([frontier.walks, frontier.walks[:, :1]], axis=1) - 1
     ids = edge_id_table(n)
     walk_ids = ids[walks[:, :-1], walks[:, 1:]]
     row_bytes = np.dtype((np.void, ids.dtype.itemsize * (length + 1)))
@@ -703,19 +705,34 @@ class TestHitOrder:
         "inst, beam",
         [
             (random_instance(60, 60, (1, 100)), 1),
+            (random_instance(200, 42, (1, 100)), 1),
             (CompleteInstance(np.full((7, 7), -0.0)), "all-ties"),
             (decimal_instance(30, 30), 5),
             (lattice_instance(3, 4), 2),
         ],
-        ids=["random-60-beam1", "negzero-7", "tenths-30-beam5", "lattice-3x4-beam2"],
+        ids=["random-60-beam1", "random-200-beam1", "negzero-7", "tenths-30-beam5",
+             "lattice-3x4-beam2"],
     )
     def test_every_round_matches_reference(self, inst, beam):
-        # single-candidate rounds with uint16 ids and L != n - L, an
-        # all-ties frontier of -0.0 sums, several classes a round, and
-        # lattice ties, each grown to a tour
+        # single-candidate rounds with uint16 ids and L != n - L, whose lone
+        # hits leave their keys to be derived from the walks (150 of the
+        # n = 200 solve's rounds, up to L = 199), an all-ties frontier of
+        # -0.0 sums, several classes a round, and lattice ties, each grown
+        # to a tour
         frontier = seed_frontier(inst, beam)
         while frontier.length < inst.n:
             frontier = checked_round(inst, frontier)
+
+
+class TestDerivedKeys:
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_keys_derived_from_walks_are_the_seed_keys(self, n):
+        # n = 23 is the largest order whose ids fit uint8, n = 24 the first
+        # in uint16
+        seeds = seed_frontier(random_instance(n, n, (1, 3)), beam=50)
+        derived = Frontier(seeds.walks, None, seeds.weights, 1, seeds.m).keys
+        assert derived.dtype == seeds.keys.dtype == edge_id_table(n).dtype
+        assert np.array_equal(derived, seeds.keys)
 
 
 def triangle_edges(inst, triangle):
