@@ -8,14 +8,16 @@ keeps the cheapest results.  After n-4 rounds the frontier holds
 Hamiltonian cycles.  Summing in a touching triangle inserts the apex
 between the two ends of one walk edge, as in cheapest insertion.
 
-A :class:`Frontier` is three arrays, one row per cycle: its closed vertex
-walk, its sorted edge ids (the key that merges duplicates and breaks
-weight ties) and its weight.  Each round also records its lineage, per
-row the parent row, the walk position the apex went in after and the
-apex; :func:`~ringtour.tours.tour_result` replays it into the tour and
-its trace steps and derives each step's weight, as it does the same
-lineage from :func:`~ringtour.hamilton.build_hamiltonian`.  A cycle
-enters a frontier only as array rows, and leaves it as the algebra's
+A :class:`Frontier` is two arrays, one row per cycle: its closed vertex
+walk and its weight.  A row's key, its sorted edge ids, merges duplicates
+and breaks weight ties; the frontier derives it from the walk, by one
+helper (:func:`_walk_keys`), only when it is read.  Each round also
+records its lineage, per row the parent row, the walk position the apex
+went in after and the apex; :func:`~ringtour.tours.tour_result` replays
+it into the tour and its trace steps and derives each step's weight, as
+it does the same lineage from
+:func:`~ringtour.hamilton.build_hamiltonian`.  A cycle enters a frontier
+only as array rows, and leaves it as the algebra's
 :class:`~ringtour.edgesets.Cycle` only as an item of the frontier's
 ``candidates``, a row view that builds the cycles it is asked for.
 
@@ -47,13 +49,13 @@ weight class taken are the table's flat indices, split by divmod into
 the child's sorted edge ids straight from those indices; duplicates merge
 on the keys, and one gather builds the kept children's walks.  A round
 whose first class is one hit at beam 1 has nothing to merge and builds
-no keys: its frontier derives them from its walk when they are read.
-Each lookup is one gather or scatter on a raveled array, and a round
-builds no Python object per child.
+no keys.  Each lookup is one gather or scatter on a raveled array, and a
+round builds no Python object per child.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,48 +127,52 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
     )
 
 
-class Frontier:
-    """Equal-length simple cycles, sorted by (weight, edge ids), as arrays.
+def _walk_keys(walks: np.ndarray, n: int) -> np.ndarray:
+    """Each row's sorted edge ids, in the dtype of ``edge_id_table(n)``.
 
-    Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32),
-    ``keys[r]`` its sorted edge ids (in the dtype of
-    ``edge_id_table``) and ``weights[r]`` its weight; the rows come in
-    frontier order.  The constructor's ``keys`` may be None, as a round
-    that merged nothing leaves them; ``keys`` is then derived from the
-    walks (the sorted ids of each row's walk edges) when first read.  A
-    grown frontier also keeps its lineage: the ``root`` frontier it grew
-    from and, per extension round, three arrays over that round's rows
-    (parent row, walk position the apex went in after, apex), but no
-    walks, keys or weights.
+    Row r of ``walks`` is a closed vertex walk (1-based) in K_n; its edges
+    join each vertex to the next, and the last to the first.
+    """
+    walks = walks - 1
+    succ = np.concatenate([walks[:, 1:], walks[:, :1]], axis=1)
+    keys = edge_id_table(n)[walks, succ]
+    keys.sort(axis=1)
+    return keys
+
+
+class Frontier:
+    """Equal-length simple cycles of K_n, sorted by (weight, edge ids).
+
+    Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32) and
+    ``weights[r]`` its weight; the rows come in frontier order.
+    ``keys[r]``, its sorted edge ids, is derived from the walks
+    (:func:`_walk_keys`) when first read.  A grown frontier also keeps its
+    lineage: the ``root`` frontier it grew from and, per extension round,
+    three arrays over that round's rows (parent row, walk position the
+    apex went in after, apex), but no walks or weights.
 
     The arrays are the only way in, and a row's weight, walk and ids are
     read off them.  ``candidates`` is a
-    :class:`~ringtour.edgesets.CycleRows` view of ``keys`` and ``walks``
-    (in the ``m`` edges of K_n): item r builds row r's simple
-    :class:`~ringtour.edgesets.Cycle`, its vertices in walk order.
+    :class:`~ringtour.edgesets.CycleRows` view of ``keys`` and ``walks``:
+    item r builds row r's simple :class:`~ringtour.edgesets.Cycle`, its
+    vertices in walk order.
     """
 
-    def __init__(self, walks, keys, weights, beam, m, root=None, rounds=()):
-        self.walks, self._keys, self.weights = walks, keys, weights
+    def __init__(self, walks, weights, beam, n, *, root=None, rounds=()):
+        self.walks, self.weights = walks, weights
         self.length = walks.shape[1]
-        self.beam, self.m = beam, m
+        self.beam, self.n = beam, n
         self._root, self._rounds = root, rounds
 
-    @property
+    @functools.cached_property
     def keys(self) -> np.ndarray:
-        if self._keys is None:
-            n = (1 + math.isqrt(1 + 8 * self.m)) // 2  # m = n(n-1)/2
-            walks = self.walks - 1
-            succ = np.concatenate([walks[:, 1:], walks[:, :1]], axis=1)
-            keys = edge_id_table(n)[walks, succ]
-            keys.sort(axis=1)
-            self._keys = keys
-        return self._keys
+        return _walk_keys(self.walks, self.n)
 
     @property
     def candidates(self) -> CycleRows:
         offsets = np.arange(0, self.keys.size + 1, self.length)
-        return CycleRows(self.keys.ravel(), self.walks.ravel(), offsets, self.m)
+        m = self.n * (self.n - 1) // 2
+        return CycleRows(self.keys.ravel(), self.walks.ravel(), offsets, m)
 
     @property
     def weight(self) -> float:
@@ -199,9 +205,7 @@ def _wedge_rows(w: np.ndarray, a: int, xs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _seed_scan(
-    inst: CompleteInstance, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each quad's cheapest 4-cycles, as far as the beam rule can keep them.
 
     The cycle a-x-c-y whose smallest vertex is a and whose opposite vertex
@@ -232,8 +236,7 @@ def _seed_scan(
     sums over its listed diagonals and the columns the final cut keeps;
     the block's (diagonal, x, y) row-major order goes diagonal by diagonal
     and the columns ascend, so the pairs come in the full rows' order.
-    Returns the kept cycles' walks (1-based), sorted edge ids and weights,
-    in scan order.
+    Returns the kept cycles' walks (1-based) and weights, in scan order.
     """
     w = inst.weights
     n = inst.n
@@ -279,10 +282,7 @@ def _seed_scan(
     best = np.full(quad.max() + 1, np.inf)
     np.minimum.at(best, quad, weights)
     keep = weights == best[quad]
-    walks = walks[keep]
-    keys = edge_id_table(n)[walks, np.roll(walks, -1, axis=1)]
-    keys.sort(axis=1)
-    return (walks + 1).astype(np.int32), keys, weights[keep]
+    return (walks[keep] + 1).astype(np.int32), weights[keep]
 
 
 def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
@@ -294,12 +294,12 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
     if inst.n < 4:
         raise DomainError(f"seeding needs n >= 4, got n={inst.n}")
     width = parse_beam(beam)
-    walks, keys, weights = _seed_scan(inst, width)
-    order = np.lexsort([*keys.T[::-1], weights])
+    walks, weights = _seed_scan(inst, width)
+    order = np.lexsort([*_walk_keys(walks, inst.n).T[::-1], weights])
     ranked = weights[order]
     cut = ranked[min(width, len(ranked)) - 1]
     order = order[: np.searchsorted(ranked, cut, side="right")]
-    return Frontier(walks[order], keys[order], weights[order], width, inst.m)
+    return Frontier(walks[order], weights[order], width, inst.n)
 
 
 def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
@@ -372,8 +372,7 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     from several decompositions (dubl-cycles) collapse to the first in
     scan order (class, then candidate), and a cycle an earlier class holds
     is not kept again.  A first class of one hit at beam 1 ends the round
-    with nothing to merge, so it builds no keys, and the new frontier
-    derives its one key from its walk if it is read.  The kept children
+    with nothing to merge, so it builds no keys.  The kept children
     are in class order, then key order; one gather builds their walks,
     each the parent's with its apex inserted, and the round's lineage
     records (parent row, split position, apex).
@@ -401,7 +400,7 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         apex = outs.ravel()[f * (n - length) + o]
         if held is None and len(f) == 1 and frontier.beam == 1:
             # one cycle ends the round: nothing to merge, so no key
-            parts.append((f, i, apex + 1, None, np.full(1, cls)))
+            parts.append((f, i, apex + 1, np.full(1, cls)))
             break
         if walk_ids is None:
             walk_ids = ids[cells]
@@ -426,20 +425,20 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         else:
             held = distinct
         weights = np.full(len(first), cls)
-        parts.append((f[first], i[first], apex[first] + 1, keys[first], weights))
+        parts.append((f[first], i[first], apex[first] + 1, weights))
         if len(held) >= frontier.beam:
             break
 
     # One class, the usual case off ties, needs no concatenation.
     cols = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    rows, splits, apexes, keys, weights = cols
+    rows, splits, apexes, weights = cols
     pos = np.arange(length + 1)
     source = rows[:, None] * length + (pos - (pos > splits[:, None]))
     children = frontier.walks.ravel()[source]
     children.ravel()[np.arange(0, children.size, length + 1) + splits + 1] = apexes
     rounds = frontier._rounds + ((rows, splits, apexes),)
     root = frontier._root or frontier
-    return Frontier(children, keys, weights, frontier.beam, frontier.m, root, rounds)
+    return Frontier(children, weights, frontier.beam, n, root=root, rounds=rounds)
 
 
 def solve(
@@ -454,11 +453,10 @@ def solve(
     """
     n = inst.n
     if n == 3:
-        # one row: the triangle walk 1-2-3, whose edges are e1, e2 and e3
+        # one row: the triangle walk 1-2-3
         tri = np.array([[1, 2, 3]], dtype=np.int32)
         weight = inst.weight(1, 2) + inst.weight(1, 3) + inst.weight(2, 3)
-        width = parse_beam(beam)
-        frontier = Frontier(tri, tri.astype(np.uint8), np.array([weight]), width, 3)
+        frontier = Frontier(tri, np.array([weight]), parse_beam(beam), n)
     else:
         frontier = seed_frontier(inst, beam)
     history = [frontier] if trace else None

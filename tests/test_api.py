@@ -36,8 +36,8 @@ def test_frontier_snapshot_is_gone():
     assert not hasattr(ringtour.Frontier, "snapshot")
 
 
-def test_candidate_constructors_are_gone():
-    # a frontier is built only from its arrays
+def test_candidate_constructors_are_gone(k6):
+    # a frontier is built only from its walks and weights, and stores no keys
     assert "FrontierCandidate" not in ringtour.__all__
     assert not hasattr(ringtour.heuristic, "FrontierCandidate")
     assert not hasattr(ringtour.Frontier, "edge_sets")
@@ -45,6 +45,10 @@ def test_candidate_constructors_are_gone():
     assert not hasattr(ringtour.Frontier, "_set")
     with pytest.raises(TypeError):
         ringtour.Frontier(candidates=(), length=3, beam=1)
+    seeds = ringtour.seed_frontier(k6)
+    assert not hasattr(seeds, "_keys")
+    with pytest.raises(TypeError):  # the old (walks, keys, weights, beam, m)
+        ringtour.Frontier(seeds.walks, seeds.keys, seeds.weights, 1, k6.m)
 
 
 def test_cycle_row_caches_are_gone(k6):

@@ -134,10 +134,7 @@ def reference_seed_scan(inst, width):
     best = np.full(quad.max() + 1, np.inf)
     np.minimum.at(best, quad, weights)
     keep = weights == best[quad]
-    walks = walks[keep]
-    keys = edge_id_table(n)[walks, np.roll(walks, -1, axis=1)]
-    keys.sort(axis=1)
-    return (walks + 1).astype(np.int32), keys, weights[keep]
+    return (walks[keep] + 1).astype(np.int32), weights[keep]
 
 
 def decimal_instance(n, seed):
@@ -351,7 +348,7 @@ class TestSeedFrontier:
             inst = random_instance(label, label, (1, 20))
         got = heuristic._seed_scan(inst, width)
         want = reference_seed_scan(inst, width)
-        for g, r in zip(got, want):
+        for g, r in zip(got, want, strict=True):
             assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
 
     def test_scan_reads_few_wedge_cells(self, monkeypatch):
@@ -553,10 +550,8 @@ class TestExtendFrontier:
         w[0, 4] = w[4, 0] = w[1, 4] = w[4, 1] = 1.0
         np.fill_diagonal(w, 0.0)
         inst = CompleteInstance(w)
-        # walk 1-2-3-4 has edges e1, e3, e6 and e10 in K6
         walk = np.array([[1, 2, 3, 4]], dtype=np.int32)
-        keys = np.array([[1, 3, 6, 10]], dtype=np.uint8)
-        frontier = Frontier(walk, keys, np.array([40.0]), beam=2, m=inst.m)
+        frontier = Frontier(walk, np.array([40.0]), beam=2, n=inst.n)
         nxt = extend_frontier(inst, frontier)
         got = weighted_ids(nxt)
         assert [weight for weight, _ in got] == [32.0, 41.0, 41.0]
@@ -715,13 +710,23 @@ class TestHitOrder:
     )
     def test_every_round_matches_reference(self, inst, beam):
         # single-candidate rounds with uint16 ids and L != n - L, whose lone
-        # hits leave their keys to be derived from the walks (150 of the
-        # n = 200 solve's rounds, up to L = 199), an all-ties frontier of
-        # -0.0 sums, several classes a round, and lattice ties, each grown
-        # to a tour
+        # hits build no keys (150 of the n = 200 solve's rounds, up to
+        # L = 199), an all-ties frontier of -0.0 sums, several classes a
+        # round, and lattice ties, each grown to a tour
         frontier = seed_frontier(inst, beam)
         while frontier.length < inst.n:
             frontier = checked_round(inst, frontier)
+
+
+def assert_keys_are_walk_ids(inst, frontier):
+    """Each row's key is its closed walk's edge ids, sorted."""
+    want = np.array(
+        [walk_edge_ids(inst, walk) for walk in frontier.walks.tolist()],
+        dtype=edge_id_table(inst.n).dtype,
+    )
+    got = frontier.keys
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
 
 
 class TestDerivedKeys:
@@ -729,10 +734,19 @@ class TestDerivedKeys:
     def test_keys_derived_from_walks_are_the_seed_keys(self, n):
         # n = 23 is the largest order whose ids fit uint8, n = 24 the first
         # in uint16
-        seeds = seed_frontier(random_instance(n, n, (1, 3)), beam=50)
-        derived = Frontier(seeds.walks, None, seeds.weights, 1, seeds.m).keys
-        assert derived.dtype == seeds.keys.dtype == edge_id_table(n).dtype
-        assert np.array_equal(derived, seeds.keys)
+        inst = random_instance(n, n, (1, 3))
+        assert_keys_are_walk_ids(inst, seed_frontier(inst, beam=50))
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_grown_keys_are_the_walks_sorted_edge_ids(self, n):
+        # n = 3's one frontier is solve's triangle.  Beam 5 on weights 1..3
+        # keeps cutoff ties, so rounds merge and hold many rows; from n = 15
+        # on they reach thousands (63,955 at n = 19)
+        inst = random_instance(n, n, (1, 3))
+        history = solve(inst, beam=5, trace=True).trace.frontier_history
+        assert len(history) == max(1, n - 3)
+        for frontier in history:
+            assert_keys_are_walk_ids(inst, frontier)
 
 
 def triangle_edges(inst, triangle):
