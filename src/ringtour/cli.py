@@ -36,7 +36,7 @@ from .graphs import (
     random_instance,
 )
 from .hamilton import build_hamiltonian
-from .heuristic import op_count_estimate, parse_beam, solve
+from .heuristic import K, op_count_estimate, parse_beam, solve
 from .isocycles import deletion_trace, pass_vectors, triangles
 from .oracle import HELD_KARP_MAX_N, held_karp
 from .tours import TourResult
@@ -518,7 +518,8 @@ def _render_gen_text(report: RunReport) -> str:
 _BEAM = ("--beam", dict(
     default="all-ties",
     help="frontier width B: keep the B cheapest cycles per round "
-    "plus cutoff ties; 'all-ties' (the default) is B = 1",
+    "plus cutoff ties; 'all-ties' (the default) is B = 1; a frontier "
+    f"keeps at most {K} cycles, the cheapest, smallest edge ids first",
 ))
 
 # Each subcommand once: name, help, handler, text renderer, whether it reads

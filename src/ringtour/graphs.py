@@ -96,14 +96,28 @@ def edge_id_table(n: int) -> np.ndarray:
 class CompleteInstance:
     """Immutable symmetric weighted complete graph.
 
-    The weight matrix is stored as a read-only float64 array; vertex
-    arguments are 1-based at every public method.
+    The weight matrix is stored as a read-only float64 array, a copy of
+    the one given; vertex arguments are 1-based at every public method.
     """
 
     __slots__ = ("n", "_w")
 
     def __init__(self, weights: np.ndarray | Sequence[Sequence[float]]):
-        w = np.array(weights, dtype=np.float64)
+        self._take(np.array(weights, dtype=np.float64))
+
+    @classmethod
+    def _own(cls, w: np.ndarray) -> CompleteInstance:
+        """Instance over ``w`` itself, validated but not copied.
+
+        For loaders that have just built ``w`` as a fresh float64 matrix and
+        keep no other reference to it; a copy would double their peak.
+        """
+        inst = cls.__new__(cls)
+        inst._take(w)
+        return inst
+
+    def _take(self, w: np.ndarray) -> None:
+        """Validate the float64 matrix ``w`` and store it read-only."""
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInstanceError(
                 f"weight matrix must be square, got shape {w.shape}"
@@ -314,7 +328,7 @@ def parse_matrix_text(text: str, path: str = "<matrix>") -> CompleteInstance:
             if len(row) != n:
                 raise ParseError(f"{path}:{k}: expected {n} entries, found {len(row)}")
             rows.append(row)
-    return CompleteInstance(rows)
+    return CompleteInstance._own(np.asarray(rows, dtype=np.float64))
 
 
 def parse_upper_text(text: str, path: str = "<upper>") -> CompleteInstance:
@@ -331,7 +345,7 @@ def parse_upper_text(text: str, path: str = "<upper>") -> CompleteInstance:
                 f"{path}:{k}: expected {n - i} entries for row {i}, found {len(row)}"
             )
         values += row
-    return CompleteInstance(_symmetric(n, values, np.float64))
+    return CompleteInstance._own(_symmetric(n, values, np.float64))
 
 
 def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
@@ -360,7 +374,7 @@ def parse_coords_text(text: str, path: str = "<coords>") -> CompleteInstance:
         raise ParseError(
             f"{path}:{lines[b][0]}: distance to the point on line {lines[a][0]} overflows"
         )
-    return CompleteInstance(_symmetric(n, np.floor(d + 0.5), np.float64))
+    return CompleteInstance._own(_symmetric(n, np.floor(d + 0.5), np.float64))
 
 
 def random_instance(
@@ -385,9 +399,13 @@ def random_instance(
             f"random instances are capped at n={RANDOM_MAX_N}, got n={n}"
         )
     rng = random.Random(seed)
-    m = n * (n - 1) // 2
-    draws = (rng.randint(lo, hi) for _ in range(m))
-    return CompleteInstance(_symmetric(n, np.fromiter(draws, np.float64, m), np.float64))
+    w = np.zeros((n, n))
+    # Edge-id order, a row of the upper triangle at a time, so that no
+    # array of all the draws sits beside the matrix.
+    for i in range(n - 1):
+        draws = (rng.randint(lo, hi) for _ in range(n - 1 - i))
+        w[i, i + 1 :] = w[i + 1 :, i] = np.fromiter(draws, np.float64, n - 1 - i)
+    return CompleteInstance._own(w)
 
 
 def load_instance(source: InstanceSource) -> CompleteInstance:

@@ -24,9 +24,13 @@ only as array rows, and leaves it as the algebra's
 Beam policy: a beam width B keeps the B cheapest candidates of each round
 plus every candidate tied at the cutoff.  The default "all-ties" is width
 1, which keeps exactly the candidates tied at the round minimum and
-reproduces the worked desk examples.  Weight comparisons are exact;
-instances with integral weights (all file formats round or carry
-integers) make every sum exactly representable.
+reproduces the worked desk examples.  Ties can number in the millions
+(uniform weights, lattices), so after the beam rule every frontier, the
+seed frontier too, keeps at most :data:`K` rows: its first K in (weight,
+edge ids) order, the cheapest and, among equal weights, the smallest
+sorted edge ids.
+Weight comparisons are exact; instances with integral weights (all file
+formats round or carry integers) make every sum exactly representable.
 
 Seeding is a wedge scan bounded by its own running cut: a 4-cycle a-x-c-y
 is the two 2-paths a-x-c and a-y-c across its diagonal (a, c), so the
@@ -72,6 +76,20 @@ from .tours import Lineage, TourResult, _walk_edges, tour_result
 from .tours import cycle_vertex_sequence  # noqa: F401 (perfbench/tracer.py wraps it)
 
 BeamSpec = int | str | None
+
+# Most rows a frontier keeps: the first K in (weight, edge ids) order, after
+# the beam rule.  All-ties rounds on uniform weights or lattices otherwise
+# grow without bound (201,600 rows at n = 10 with uniform weights); random
+# 1..100 weights stay below K (the n = 400 bench seeds peak at 2,858 rows).
+K = 4096
+
+# Most float64 cells (2 GiB) a round's insertion table may ask for, F rows
+# by L walk edges by n - L free apexes.  K bounds rows, not cells: a K-row
+# round asks for at most K * (n/2)^2 cells, within the budget up to
+# n = 512, but 4.9 GiB at n = 800, L = 400.  Past the budget a round is
+# refused before it allocates, since an allocation the kernel grants and
+# cannot back ends the process without a message.
+TABLE_BUDGET = 2**28
 
 
 def parse_beam(beam: BeamSpec) -> int:
@@ -144,7 +162,8 @@ class Frontier:
     """Equal-length simple cycles of K_n, sorted by (weight, edge ids).
 
     Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32) and
-    ``weights[r]`` its weight; the rows come in frontier order.
+    ``weights[r]`` its weight; the rows come in frontier order, at most
+    :data:`K` of them.
     ``keys[r]``, its sorted edge ids, is derived from the walks
     (:func:`_walk_keys`) when first read.  A grown frontier also keeps its
     lineage: the ``root`` frontier it grew from and, per extension round,
@@ -289,7 +308,8 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
     """Frontier of length 4: cheapest 4-cycle per quad, then the beam rule.
 
     The beam keeps the ``beam`` cheapest cycles in (weight, edge ids)
-    order plus every cycle tied at the cutoff.
+    order plus every cycle tied at the cutoff; of those, the first
+    :data:`K` stay.
     """
     if inst.n < 4:
         raise DomainError(f"seeding needs n >= 4, got n={inst.n}")
@@ -298,7 +318,7 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
     order = np.lexsort([*_walk_keys(walks, inst.n).T[::-1], weights])
     ranked = weights[order]
     cut = ranked[min(width, len(ranked)) - 1]
-    order = order[: np.searchsorted(ranked, cut, side="right")]
+    order = order[: min(K, np.searchsorted(ranked, cut, side="right"))]
     return Frontier(walks[order], weights[order], width, inst.n)
 
 
@@ -328,9 +348,18 @@ def _insertion_table(
     order so ties are exact.  Each block of candidates, at most
     ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one
     gather, whose intp index lives only through it; beside the table, the
-    cells are the one intp array the size of the walks.
+    cells are the one intp array the size of the walks.  A table of more
+    than :data:`TABLE_BUDGET` cells raises :class:`DomainError` before
+    anything is allocated.
     """
     n, (size, length) = inst.n, frontier.walks.shape
+    cells = size * length * (n - length)
+    if cells > TABLE_BUDGET:
+        raise DomainError(
+            f"extension round at cycle length {length} asks for {cells} table "
+            f"cells ({size} x {length} x {n - length}), over the budget of "
+            f"{TABLE_BUDGET}"
+        )
     # The table first: a round too large to hold it fails before it has
     # written anything else.
     vals = np.empty((size, length, n - length))
@@ -379,7 +408,10 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
 
     No beam trim follows: before the last class taken fewer than B cycles
     were in hand, all cheaper than that class, so the B-th cheapest child
-    has the last class's weight and the cutoff keeps every child.
+    has the last class's weight and the cutoff keeps every child.  The
+    cap then keeps the first :data:`K` children: a class is cut to the
+    room left, and the loop stops once K are held.  A round whose table
+    would pass :data:`TABLE_BUDGET` cells raises :class:`DomainError`.
     """
     n = inst.n
     length = frontier.length
@@ -421,12 +453,14 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         if held is not None:
             fresh = ~np.isin(distinct, held)
             distinct, first = distinct[fresh], first[fresh]
-            held = np.concatenate([held, distinct])
-        else:
-            held = distinct
+        # The cap, before the gather: the children come in (weight, edge
+        # ids) order, so the first K are the K kept.
+        room = K - (0 if held is None else len(held))
+        distinct, first = distinct[:room], first[:room]
+        held = distinct if held is None else np.concatenate([held, distinct])
         weights = np.full(len(first), cls)
         parts.append((f[first], i[first], apex[first] + 1, weights))
-        if len(held) >= frontier.beam:
+        if len(held) >= min(frontier.beam, K):
             break
 
     # One class, the usual case off ties, needs no concatenation.
@@ -447,9 +481,10 @@ def solve(
     """Run the full heuristic and return the best Hamiltonian cycle found.
 
     Ties for the final answer break to the lexicographically smallest edge
-    set.  The result's trace records the seed quad and every triangle
-    summed along the winning lineage; with ``trace=True`` it also keeps
-    each round's frontier.
+    set.  Every frontier holds at most :data:`K` cycles, its first in
+    (weight, edge ids) order.  The result's trace records the seed quad and
+    every triangle summed along the winning lineage; with ``trace=True`` it
+    also keeps each round's frontier.
     """
     n = inst.n
     if n == 3:

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ringtour import cli, isocycles
+from ringtour import cli, heuristic, isocycles
 from ringtour.cli import RunReport, main
 from ringtour.graphs import RANDOM_MAX_N, InstanceSource, edge_id, load_instance
 
@@ -486,6 +486,16 @@ class TestUsageAndErrors:
             "ringtour: error: out of memory: Unable to allocate 3.00 GiB for an array\n"
         )
 
+    def test_table_budget(self, capsys, monkeypatch):
+        # a round whose table passes the budget stops before it allocates
+        monkeypatch.setattr(heuristic, "TABLE_BUDGET", 1)
+        code, out, err = run_cli(capsys, "solve", "--random", "n=8", "seed=1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("over the budget of 1\n")
+        assert err.startswith(
+            "ringtour: error: extension round at cycle length 4 asks for "
+        )
+
     def test_help(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
@@ -507,6 +517,7 @@ class TestUsageAndErrors:
         text = " ".join(out.split())
         assert "'all-ties' (the default) is B = 1" in text
         assert "plus cutoff ties" in text
+        assert f"keeps at most {heuristic.K} cycles" in text
 
     def test_bad_random_spec(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--random", "n=5")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from ringtour import (
     parse_upper_text,
     random_instance,
 )
+import ringtour
 from ringtour import graphs
 from ringtour.cli import main
 from ringtour.graphs import RANDOM_MAX_N
@@ -132,6 +137,17 @@ class TestParsing:
         inst = parse_matrix_text("3\n0 1 1\n1 0 1\n1 1 0\n")
         assert inst.n == 3
         assert inst.weight(1, 3) == 1
+
+    def test_caller_array_is_copied(self):
+        w = np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        inst = CompleteInstance(w)
+        w[0, 1] = w[1, 0] = 9.0
+        assert inst.weight(1, 2) == 1
+        assert not np.shares_memory(inst.weights, w)
+        # loaders hand their own fresh matrix over; it is read-only all the same
+        for loaded in (parse_matrix_text(K4_MATRIX_TEXT), parse_upper_text(K4_UPPER_TEXT),
+                       parse_coords_text("3\n0 0\n1.5 2.0\n6 0\n"), random_instance(4, 1)):
+            assert not loaded.weights.flags.writeable
 
     def test_coords_round_half_up(self):
         # distance 2.5 between (0,0) and (1.5,2.0) rounds to 3
@@ -393,6 +409,27 @@ class TestRandomInstance:
             load_instance(InstanceSource(kind="random", n=5, seed=1, hi=2**1024))
         # huge but finite weights still draw
         assert random_instance(3, 1, (10**307, 10**307)).weight(1, 2) == 1e307
+
+    def test_holds_one_matrix(self):
+        # The draws go straight into the matrix, and the instance takes it
+        # without a copy: a copy or an array of all the draws beside it
+        # would push the peak past 1.25 matrices.  A fresh interpreter runs
+        # the call, so nothing an earlier test allocated counts.
+        n = 1000
+        script = (
+            "import tracemalloc\n"
+            "from ringtour import random_instance\n"
+            "tracemalloc.start()\n"
+            f"random_instance({n}, 1)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = str(Path(ringtour.__file__).parents[1])  # the package under test
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert int(out.stdout) <= 1.25 * n * n * 8
 
     def test_size_cap(self):
         with pytest.raises(DomainError, match=f"capped at n={RANDOM_MAX_N}"):

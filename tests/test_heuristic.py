@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -632,8 +634,10 @@ class TestInsertionTable:
 def reference_round(inst, frontier):
     """``extend_frontier`` with each class's hits taken by 3-D ``np.nonzero``.
 
-    Returns the children's (walks, keys, weights) and the round's lineage
-    arrays (parent row, split position, apex).
+    The classes the beam asks for are taken whole, uncapped, and the round
+    is then cut to its first ``heuristic.K`` rows.  Returns the children's
+    (walks, keys, weights) and the round's lineage arrays (parent row,
+    split position, apex).
     """
     n, length = inst.n, frontier.length
     _, outs, vals = heuristic._insertion_table(inst, frontier)
@@ -659,7 +663,8 @@ def reference_round(inst, frontier):
         parts.append((f[first], i[first], apex[first] + 1, keys[first], weights))
         if len(held) >= frontier.beam:
             break
-    rows, splits, apexes, keys, weights = (np.concatenate(col) for col in zip(*parts))
+    cols = (np.concatenate(col)[: heuristic.K] for col in zip(*parts))
+    rows, splits, apexes, keys, weights = cols
     children = frontier.walks[rows].tolist()
     for walk, split, apex in zip(children, splits, apexes):
         walk.insert(split + 1, apex)
@@ -687,7 +692,9 @@ class TestHitOrder:
     )
     def test_flat_hits_match_nonzero(self, inst, beam, rounds):
         # tables past one gather block with L != n - L, where the flat
-        # index's two divisors differ; tenths take several classes a round
+        # index's two divisors differ; tenths take several classes a round,
+        # and the lattice's rounds reach the cap (5,708 rows uncapped at
+        # L = 9)
         frontier, spans = seed_frontier(inst, beam), []
         for _ in range(rounds):
             size, length = frontier.walks.shape
@@ -718,6 +725,101 @@ class TestHitOrder:
             frontier = checked_round(inst, frontier)
 
 
+def tie_family():
+    """Inputs whose all-ties rounds outgrow K, with the optimum where known.
+
+    Uncapped, uniform weights grow a 201,600-row frontier at n = 10 and
+    1,995,840 rows at n = 11, and the 5x5 lattice and weights 1..3 at
+    n = 24 run out of a 3 GB address space.
+    """
+    cases = [(f"lattice-{k}x{k}", lattice_instance(k, k), opt)
+             for k, opt in ((4, 16), (5, 25), (6, 36))]
+    cases += [(f"1..3-n{n}", random_instance(n, 1, (1, 3)), None) for n in (24, 30)]
+    cases += [(f"uniform-n{n}", random_instance(n, n, (4, 4)), 4 * n) for n in (10, 11, 14)]
+    return [pytest.param(inst, opt, id=label) for label, inst, opt in cases]
+
+
+# Wall-clock bound of one tie-family solve: each took under 1 s on a 2-core
+# host, and uncapped, uniform weights at n = 11 took 21 s.
+TIE_SOLVE_S = 10.0
+
+
+class TestFrontierCap:
+    @pytest.mark.parametrize("inst, optimum", tie_family())
+    def test_tie_family_stays_within_the_cap(self, inst, optimum):
+        start = time.perf_counter()
+        res = solve(inst, trace=True)
+        elapsed = time.perf_counter() - start
+        cls = classify(res.edges, inst)
+        assert cls.kind is CycleKind.SIMPLE_CYCLE
+        assert cls.cycle.vertices == frozenset(range(1, inst.n + 1))
+        assert res.weight == sum(inst.edge_weight(e) for e in res.edges)
+        # the cap binds on each of them, and no frontier passes it
+        sizes = [len(f.weights) for f in res.trace.frontier_history]
+        assert max(sizes) == heuristic.K
+        if optimum is not None:
+            assert res.weight == optimum
+        assert elapsed < TIE_SOLVE_S
+
+    @pytest.mark.parametrize("cap", [8, 64])
+    @pytest.mark.parametrize(
+        "inst, beam",
+        [
+            (lattice_instance(4, 4), "all-ties"),
+            (random_instance(9, 9, (4, 4)), "all-ties"),
+            (random_instance(12, 12, (1, 3)), 100),
+        ],
+        ids=["lattice-4x4", "uniform-n9", "1..3-n12-beam100"],
+    )
+    def test_capped_rounds_are_cut_uncapped_rounds(self, monkeypatch, inst, beam, cap):
+        # reference_round takes whole the classes the beam asks for and cuts
+        # after, so each capped round must be its first K rows: walks, keys,
+        # weights and lineage.  Beam 100 outruns K, so the class loop stops
+        # on the cap, not on the beam.
+        uncapped = seed_frontier(inst, beam)
+        monkeypatch.setattr(heuristic, "K", cap)
+        frontier = seed_frontier(inst, beam)
+        assert np.array_equal(frontier.walks, uncapped.walks[:cap])
+        assert np.array_equal(frontier.weights, uncapped.weights[:cap])
+        sizes = []
+        while frontier.length < inst.n:
+            frontier = checked_round(inst, frontier)
+            sizes.append(len(frontier.weights))
+        assert max(sizes) == cap
+
+
+class TestTableBudget:
+    def test_capped_rounds_fit_through_n_512(self):
+        # a K-row round asks for at most K * (n/2)^2 cells
+        assert heuristic.K * 256 * 256 <= heuristic.TABLE_BUDGET
+
+    def test_budget_counts_table_cells(self, monkeypatch):
+        inst = lattice_instance(4, 4)
+        frontier = seed_frontier(inst)
+        cells = len(frontier.weights) * 4 * (16 - 4)
+        monkeypatch.setattr(heuristic, "TABLE_BUDGET", cells)
+        assert extend_frontier(inst, frontier).length == 5
+        monkeypatch.setattr(heuristic, "TABLE_BUDGET", cells - 1)
+        with pytest.raises(DomainError, match=f"length 4 asks for {cells} table cells"):
+            extend_frontier(inst, frontier)
+
+    def test_refused_before_the_table_is_allocated(self, monkeypatch):
+        # 1,000 rows at L = 100 of n = 200 would fill an 80 MB table
+        inst = random_instance(200, 1)
+        walks = np.tile(np.arange(1, 101, dtype=np.int32), (1000, 1))
+        frontier = Frontier(walks, np.zeros(1000), 1, inst.n)
+        monkeypatch.setattr(heuristic, "TABLE_BUDGET", 10**6)
+        want = r"length 100 asks for 10000000 table cells \(1000 x 100 x 100\)"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=want):
+                extend_frontier(inst, frontier)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 def assert_keys_are_walk_ids(inst, frontier):
     """Each row's key is its closed walk's edge ids, sorted."""
     want = np.array(
@@ -741,7 +843,7 @@ class TestDerivedKeys:
     def test_grown_keys_are_the_walks_sorted_edge_ids(self, n):
         # n = 3's one frontier is solve's triangle.  Beam 5 on weights 1..3
         # keeps cutoff ties, so rounds merge and hold many rows; from n = 15
-        # on they reach thousands (63,955 at n = 19)
+        # on they reach thousands, up to the cap K
         inst = random_instance(n, n, (1, 3))
         history = solve(inst, beam=5, trace=True).trace.frontier_history
         assert len(history) == max(1, n - 3)
