@@ -64,13 +64,7 @@ from .isocycles import (
     triangles,
 )
 from .oracle import OracleResult, brute_force, held_karp
-from .tours import (
-    TourResult,
-    TourTrace,
-    TraceStep,
-    cycle_vertex_sequence,
-    to_vertex_sequence,
-)
+from .tours import TourResult, TourTrace, TraceStep, cycle_vertex_sequence
 
 __version__ = "0.1.0"
 
@@ -126,7 +120,6 @@ __all__ = [
     "ring_sum",
     "seed_frontier",
     "solve",
-    "to_vertex_sequence",
     "triangle_count",
     "triangle_index",
     "triangles",

@@ -16,6 +16,7 @@ from enum import Enum
 from .errors import DomainError
 
 
+@dataclass(frozen=True, slots=True)
 class EdgeSet:
     """Immutable set of edge ids 1..m with GF(2) addition.
 
@@ -23,20 +24,16 @@ class EdgeSet:
     are only comparable/combinable when they share the same ambient m.
     """
 
-    __slots__ = ("mask", "m")
+    m: int
+    mask: int = 0
 
-    def __init__(self, m: int, mask: int = 0):
-        if m < 0:
-            raise DomainError(f"ambient edge count must be non-negative, got {m}")
-        if mask < 0 or mask >> (m + 1):
+    def __post_init__(self):
+        if self.m < 0:
+            raise DomainError(f"ambient edge count must be non-negative, got {self.m}")
+        if self.mask < 0 or self.mask >> (self.m + 1):
             raise DomainError("mask has bits outside 1..m")
-        if mask & 1:
+        if self.mask & 1:
             raise DomainError("edge ids are 1-based; bit 0 must be clear")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("EdgeSet is immutable")
 
     @classmethod
     def of(cls, ids: Iterable[int], m: int) -> "EdgeSet":
@@ -84,14 +81,6 @@ class EdgeSet:
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgeSet) and self.m == other.m and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.mask))
 
     def ids(self) -> tuple[int, ...]:
         """Sorted member edge ids; also the canonical comparison key."""
@@ -189,6 +178,27 @@ class CycleRows(Sequence):
         return Cycle.simple_cycle(ids, vertices, self.m)
 
 
+def _adjacency(edges: EdgeSet, endpoints) -> dict[int, list[int]]:
+    """Each vertex ``edges`` touches, with its neighbours in edge-id order."""
+    adj: dict[int, list[int]] = {}
+    for e in edges:
+        u, v = endpoints(e)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _cycle_walk(adj: dict[int, list[int]]) -> list[int]:
+    """A degree-2 adjacency's vertices, walked from its first vertex back to it."""
+    start = next(iter(adj))
+    walk, prev, cur = [start], start, adj[start][0]
+    while cur != start:
+        walk.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return walk
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: CycleKind
@@ -208,30 +218,12 @@ def classify(edges: EdgeSet, graph) -> Classification:
     if not edges:
         return Classification(CycleKind.EMPTY, None)
 
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = graph.endpoints(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = _adjacency(edges, graph.endpoints)
     deg = {u: len(nb) for u, nb in adj.items()}
-
     if any(d % 2 for d in deg.values()):
         return Classification(CycleKind.NOT_CYCLE, None)
 
-    # Connectivity over incident vertices only.
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    connected = len(seen) == len(adj)
-
-    all_two = all(d == 2 for d in deg.values())
-    simple = all_two and connected
+    simple = all(d == 2 for d in deg.values()) and len(_cycle_walk(adj)) == len(adj)
     cycle = Cycle(
         edges=edges,
         vertices=frozenset(deg),

@@ -268,7 +268,6 @@ def _parse_numbers(line: str, path: str, lineno: int) -> list[float]:
                 float(tok)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: not a number: {tok!r}") from None
-        raise
 
 
 def _read_rows(lines: list[tuple[int, str]], width: int) -> np.ndarray | None:

@@ -29,8 +29,9 @@ reproduces the worked desk examples.  Ties can number in the millions
 seed frontier too, keeps at most :data:`K` rows: its first K in (weight,
 edge ids) order, the cheapest and, among equal weights, the smallest
 sorted edge ids.
-Weight comparisons are exact; instances with integral weights (all file
-formats round or carry integers) make every sum exactly representable.
+Weight comparisons are exact; integral weights make every sum exactly
+representable.  Only ``--coords`` (rounded) and ``--random`` guarantee
+them: ``--matrix`` and ``--upper`` also take decimals (ROADMAP item 3).
 
 Seeding is a wedge scan bounded by its own running cut: a 4-cycle a-x-c-y
 is the two 2-paths a-x-c and a-y-c across its diagonal (a, c), so the
@@ -40,8 +41,9 @@ can still reach the cut plus a broadcast add, and a row's two cheapest
 come from an argmin, a mask and a min.  Every cycle through wedge a-x-c
 weighs at least (w(a, x) + lo) + (lo + lo), lo the lightest edge, so on
 random weights the cut soon keeps a few light columns per row; the
-diagonals it lists are exactly the full scan's, and uniform weights, where
-nothing is pruned, leave it O(n^3).
+diagonals it lists are exactly the full scan's.  Uniform weights prune
+nothing: pass 1 stays O(n^3), but pass 2 then lists all 3·C(n, 4) cycles
+before the cap cuts them to K (ROADMAP item 1).
 
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
@@ -88,7 +90,9 @@ K = 4096
 # round asks for at most K * (n/2)^2 cells, within the budget up to
 # n = 512, but 4.9 GiB at n = 800, L = 400.  Past the budget a round is
 # refused before it allocates, since an allocation the kernel grants and
-# cannot back ends the process without a message.
+# cannot back ends the process without a message.  Beside its table a round
+# holds intp walk-edge cells and free vertices, one gather block (0.5 MB),
+# and per class a table-shaped bool mask, its hits and their keys.
 TABLE_BUDGET = 2**28
 
 
@@ -248,10 +252,11 @@ def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarr
     below the final cut keeps both its cheapest wedges and reads exactly;
     any other reads at least its minimum, or is not read.  The cut and the
     diagonals at or below it are those of the full scan.  Uniform weights
-    prune nothing, and the scan stays O(n^3).
+    prune nothing, and this pass stays O(n^3).
 
     Pass 2 lists every cycle at or below the cut and keeps each quad's
-    minimum.  Each vertex a lists its cycles from one block of wedge-pair
+    minimum; with uniform weights that is all 3·C(n, 4) cycles (ROADMAP
+    item 1).  Each vertex a lists its cycles from one block of wedge-pair
     sums over its listed diagonals and the columns the final cut keeps;
     the block's (diagonal, x, y) row-major order goes diagonal by diagonal
     and the columns ascend, so the pairs come in the full rows' order.
@@ -322,10 +327,17 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
     return Frontier(walks[order], weights[order], width, inst.n)
 
 
-def _weight_classes(vals: np.ndarray) -> Iterator[np.float64]:
-    """Distinct child weights, cheapest first; the minimum needs no sort."""
-    yield vals.min()
-    yield from np.unique(vals)[1:]
+def _weight_classes(vals: np.ndarray) -> Iterator[tuple[np.float64, np.ndarray]]:
+    """Distinct child weights, cheapest first, each with its hits' flat indices.
+
+    A class taken is set to inf in the table (whose entries are finite), so
+    the next class is the table's minimum and no sorted copy is made.
+    """
+    flat = vals.ravel()
+    while (cls := flat.min()) < np.inf:
+        hits = np.flatnonzero(flat == cls)
+        yield cls, hits
+        flat[hits] = np.inf
 
 
 # Cells of ``w`` one gather reads while filling a round's table.  A block
@@ -425,9 +437,9 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     # void item per row sorts and merges the rows as their keys.
     row_bytes = np.dtype((np.void, dtype.itemsize * (length + 1)))
     parts, held, walk_ids = [], None, None
-    for cls in _weight_classes(vals):
+    for cls, hits in _weight_classes(vals):
         # Hit (f, i, o) is flat cell (f * L + i) * (n - L) + o of the table.
-        fi, o = np.divmod(np.flatnonzero(vals == cls), n - length)
+        fi, o = np.divmod(hits, n - length)
         f, i = np.divmod(fi, length)
         apex = outs.ravel()[f * (n - length) + o]
         if held is None and len(f) == 1 and frontier.beam == 1:

@@ -6,9 +6,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .edgesets import EdgeSet
+from .edgesets import EdgeSet, _adjacency, _cycle_walk
 from .errors import DomainError
-from .graphs import CompleteInstance, edge_endpoints
+from .graphs import CompleteInstance
 from .isocycles import triangle_index
 
 if TYPE_CHECKING:
@@ -23,30 +23,18 @@ def cycle_vertex_sequence(
     Starts at the smallest incident vertex and walks toward its smaller
     neighbour, so a cycle and its reversal yield the same sequence.
     """
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = endpoints(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = _adjacency(edges, endpoints)
     if not adj or any(len(nb) != 2 for nb in adj.values()):
         raise DomainError("edge set is not a simple cycle")
-
-    start = min(adj)
-    seq = [start]
-    prev = start
-    cur = min(adj[start])
-    while cur != start:
-        seq.append(cur)
-        a, b = adj[cur]
-        prev, cur = cur, (b if a == prev else a)
-    if len(seq) != len(adj):
+    walk = _cycle_walk(adj)
+    if len(walk) != len(adj):
         raise DomainError("edge set is not connected, hence not a simple cycle")
-    return tuple(seq)
+    return _canonical_tour(tuple(walk))
 
 
 def _canonical_tour(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate/flip a tour to start at v1 heading to its smaller neighbour."""
-    i = seq.index(1)
+    """Rotate/flip a cycle to its smallest vertex, heading to the smaller neighbour."""
+    i = seq.index(min(seq))
     seq = seq[i:] + seq[:i]
     if seq[1] > seq[-1]:
         seq = (seq[0],) + tuple(reversed(seq[1:]))
@@ -83,11 +71,6 @@ class TourResult:
     weight: float
     trace: TourTrace
     n: int
-
-
-def to_vertex_sequence(tour: TourResult) -> tuple[int, ...]:
-    """Canonical vertex order of a tour (recomputed from its edge set)."""
-    return cycle_vertex_sequence(tour.edges, lambda e: edge_endpoints(e, tour.n))
 
 
 class Lineage(NamedTuple):

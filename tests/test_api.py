@@ -51,6 +51,13 @@ def test_candidate_constructors_are_gone(k6):
         ringtour.Frontier(seeds.walks, seeds.keys, seeds.weights, 1, k6.m)
 
 
+def test_to_vertex_sequence_is_gone():
+    # a tour's canonical sequence is TourResult.sequence
+    assert "to_vertex_sequence" not in ringtour.__all__
+    assert not hasattr(ringtour, "to_vertex_sequence")
+    assert not hasattr(ringtour.tours, "to_vertex_sequence")
+
+
 def test_cycle_row_caches_are_gone(k6):
     # frontier rows and cycle sets are CycleRows views that keep no cycle
     assert not hasattr(ringtour.heuristic, "_Candidates")

@@ -71,6 +71,26 @@ class TestSetOperations:
         with pytest.raises(DomainError):
             es([6], 5)
 
+    def test_value_semantics(self):
+        x = EdgeSet(10, 0b10110)
+        assert hash(x) == hash((10, 0b10110))
+        assert x == EdgeSet(10, 0b10110)
+        assert x != EdgeSet(11, 0b10110)
+        assert x != (10, 0b10110) and x != 0b10110
+        with pytest.raises(AttributeError):
+            x.mask = 0
+        with pytest.raises(AttributeError):
+            x.m = 11
+
+    def test_constructor_range_checks(self):
+        with pytest.raises(DomainError):
+            EdgeSet(-1)
+        with pytest.raises(DomainError):
+            EdgeSet(3, 1 << 4)
+        with pytest.raises(DomainError):
+            EdgeSet(3, 0b11)
+        assert EdgeSet(3) == EdgeSet.empty(3)
+
     def test_group_laws_random(self):
         # commutativity / associativity / identity / self-inverse, 1000 trials
         rng = random.Random(20240711)
@@ -109,6 +129,8 @@ class TestClassify:
         res = classify(t1 ^ t2, k5)
         assert res.kind is CycleKind.QUASICYCLE
         assert res.cycle.degree(3) == 4
+        assert res.cycle.degree(6) == 0  # K5 has no vertex 6
+        assert len(res.cycle) == 6  # its edges, not its five vertices
 
     def test_path_not_cycle(self, k5):
         res = classify(es([1, 5], 10), k5)  # (1,2)+(2,3): open path

@@ -20,7 +20,6 @@ from ringtour import (
     is_touching,
     obod,
     random_instance,
-    to_vertex_sequence,
     triangle_index,
     triangles,
 )
@@ -254,7 +253,7 @@ class TestVertexSequence:
         # known spanning cycle: edges {e1,e2,e9,e10,e13,e15}
         target = EdgeSet.of((1, 2, 9, 10, 13, 15), 15)
         assert cycle_vertex_sequence(target, k6.endpoints) == (1, 2, 6, 5, 4, 3)
-        assert to_vertex_sequence(res) == res.sequence
+        assert cycle_vertex_sequence(res.edges, k6.endpoints) == res.sequence
 
     def test_triangle(self, k5):
         tri = EdgeSet.of((1, 2, 5), 10)
@@ -278,3 +277,15 @@ class TestVertexSequence:
         # triangle plus a dangling edge leaves odd-degree vertices
         with pytest.raises(DomainError):
             cycle_vertex_sequence(EdgeSet.of((1, 2, 5, 10), 10), k5.endpoints)
+
+    def test_disjoint_triangles_not_connected(self, k6):
+        # every vertex has degree 2, but the walk from one meets only three
+        pairs = ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))
+        ids = [k6.edge_id(u, v) for u, v in pairs]
+        with pytest.raises(DomainError, match="not connected"):
+            cycle_vertex_sequence(EdgeSet.of(ids, 15), k6.endpoints)
+
+    def test_cycle_avoiding_vertex_one(self, k6):
+        # starts at its smallest vertex, heading to the smaller neighbour
+        tri = EdgeSet.of([k6.edge_id(6, 4), k6.edge_id(6, 5), k6.edge_id(4, 5)], 15)
+        assert cycle_vertex_sequence(tri, k6.endpoints) == (4, 5, 6)

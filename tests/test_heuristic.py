@@ -819,6 +819,22 @@ class TestTableBudget:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_wide_beam_round_makes_no_copy_of_its_table(self):
+        # 523 rows at L = 20 of n = 60 take 17 weight classes; a sorted
+        # copy of the table read 2.33 tables, the round alone 1.45
+        inst = random_instance(60, 3)
+        frontier = seed_frontier(inst, beam=500)
+        while frontier.length < 20:
+            frontier = extend_frontier(inst, frontier)
+        table = len(frontier.weights) * 20 * (60 - 20) * 8
+        tracemalloc.start()
+        try:
+            extend_frontier(inst, frontier)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * table
+
 
 def assert_keys_are_walk_ids(inst, frontier):
     """Each row's key is its closed walk's edge ids, sorted."""
