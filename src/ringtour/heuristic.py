@@ -10,8 +10,8 @@ between the two ends of one walk edge, as in cheapest insertion.
 
 A :class:`Frontier` is two arrays, one row per cycle: its closed vertex
 walk and its weight.  A row's key, its sorted edge ids, merges duplicates
-and breaks weight ties; the frontier derives it from the walk, by one
-helper (:func:`_walk_keys`), only when it is read.  Each round also
+and breaks weight ties; the frontier derives it from the walk
+(``Frontier.keys``) only when it is read.  Each round also
 records its lineage, per row the parent row, the walk position the apex
 went in after and the apex; :func:`~ringtour.tours.tour_result` replays
 it into the tour and its trace steps and derives each step's weight, as
@@ -42,8 +42,12 @@ come from an argmin, a mask and a min.  Every cycle through wedge a-x-c
 weighs at least (w(a, x) + lo) + (lo + lo), lo the lightest edge, so on
 random weights the cut soon keeps a few light columns per row; the
 diagonals it lists are exactly the full scan's.  Uniform weights prune
-nothing: pass 1 stays O(n^3), but pass 2 then lists all 3·C(n, 4) cycles
-before the cap cuts them to K (ROADMAP item 1).
+nothing, and pass 1 stays O(n^3).  Pass 2 reads everything else off the
+walks it lists: a quad's minimum by comparing each cycle with its two
+siblings, and the seeds' (weight, edge ids) order from the walk columns.
+It stops once the seeds' first K are certain, so uniform weights at
+n >= 32 list the cycles of one smallest vertex, not all 3·C(n, 4); that
+vertex's block is still O(n^3) (ROADMAP item 1).
 
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
@@ -107,14 +111,14 @@ def parse_beam(beam: BeamSpec) -> int:
     raise DomainError(f"beam must be a positive integer or 'all-ties', got {beam!r}")
 
 
-def _wedge_weight(w: np.ndarray, walk: tuple[int, int, int, int]) -> float:
-    """Weight of the 4-cycle a-x-c-y (1-based walk) as wedge a-x-c plus a-y-c.
+def _wedge_weight(w: np.ndarray, a, x, c, y):
+    """Weight of the 4-cycle a-x-c-y as wedge a-x-c plus wedge a-y-c.
 
-    This is the seed scan's summation order, so recomputed weights compare
-    exactly against scanned ones.
+    The vertices are 0-based, scalars or arrays alike.  This is the seed
+    scan's summation order, so recomputed weights compare exactly against
+    scanned ones.
     """
-    a, x, c, y = (v - 1 for v in walk)
-    return float((w[a, x] + w[x, c]) + (w[a, y] + w[y, c]))
+    return (w[a, x] + w[x, c]) + (w[a, y] + w[y, c])
 
 
 @dataclass(frozen=True)
@@ -144,22 +148,9 @@ def quad_cycles(inst: CompleteInstance, quad: Iterable[int]) -> QuadCycleTriple:
     return QuadCycleTriple(
         quad=vs,
         cycles=tuple(_walk_edges(inst, walk) for walk in walks),
-        weights=tuple(_wedge_weight(inst.weights, walk) for walk in walks),
+        weights=tuple(_wedge_weight(inst.weights, *(np.array(walks) - 1).T).tolist()),
         walks=walks,
     )
-
-
-def _walk_keys(walks: np.ndarray, n: int) -> np.ndarray:
-    """Each row's sorted edge ids, in the dtype of ``edge_id_table(n)``.
-
-    Row r of ``walks`` is a closed vertex walk (1-based) in K_n; its edges
-    join each vertex to the next, and the last to the first.
-    """
-    walks = walks - 1
-    succ = np.concatenate([walks[:, 1:], walks[:, :1]], axis=1)
-    keys = edge_id_table(n)[walks, succ]
-    keys.sort(axis=1)
-    return keys
 
 
 class Frontier:
@@ -168,11 +159,11 @@ class Frontier:
     Row r is one cycle: ``walks[r]`` its vertex walk (1-based, int32) and
     ``weights[r]`` its weight; the rows come in frontier order, at most
     :data:`K` of them.
-    ``keys[r]``, its sorted edge ids, is derived from the walks
-    (:func:`_walk_keys`) when first read.  A grown frontier also keeps its
-    lineage: the ``root`` frontier it grew from and, per extension round,
-    three arrays over that round's rows (parent row, walk position the
-    apex went in after, apex), but no walks or weights.
+    ``keys[r]``, its sorted edge ids in the dtype of ``edge_id_table(n)``,
+    is derived from the walks when first read.  A grown frontier also
+    keeps its lineage: the ``root`` frontier it grew from and, per
+    extension round, three arrays over that round's rows (parent row, walk
+    position the apex went in after, apex), but no walks or weights.
 
     The arrays are the only way in, and a row's weight, walk and ids are
     read off them.  ``candidates`` is a
@@ -189,7 +180,11 @@ class Frontier:
 
     @functools.cached_property
     def keys(self) -> np.ndarray:
-        return _walk_keys(self.walks, self.n)
+        walks = self.walks - 1
+        succ = np.concatenate([walks[:, 1:], walks[:, :1]], axis=1)
+        keys = edge_id_table(self.n)[walks, succ]
+        keys.sort(axis=1)
+        return keys
 
     @property
     def candidates(self) -> CycleRows:
@@ -201,9 +196,9 @@ class Frontier:
     def weight(self) -> float:
         return float(self.weights[0])
 
-    def lineage(self, row: int = 0) -> Lineage:
-        """Row ``row``'s growth from its root, read back round by round."""
-        growths = []
+    def lineage(self) -> Lineage:
+        """Row 0's growth from its root, read back round by round."""
+        row, growths = 0, []
         for rows, splits, apexes in reversed(self._rounds):
             growths.append((int(splits[row]), int(apexes[row])))
             row = int(rows[row])
@@ -254,12 +249,30 @@ def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarr
     diagonals at or below it are those of the full scan.  Uniform weights
     prune nothing, and this pass stays O(n^3).
 
-    Pass 2 lists every cycle at or below the cut and keeps each quad's
-    minimum; with uniform weights that is all 3·C(n, 4) cycles (ROADMAP
-    item 1).  Each vertex a lists its cycles from one block of wedge-pair
-    sums over its listed diagonals and the columns the final cut keeps;
-    the block's (diagonal, x, y) row-major order goes diagonal by diagonal
-    and the columns ascend, so the pairs come in the full rows' order.
+    Pass 2 lists the cycles at or below the cut, smallest vertex a by
+    smallest vertex.  Each vertex a lists its cycles from one block of
+    wedge-pair sums over its listed diagonals and the columns the final
+    cut keeps; the block's (diagonal, x, y) row-major order goes diagonal
+    by diagonal and the columns ascend, so the pairs come in the full
+    rows' order.  A listed cycle a-x-c-y is kept iff it weighs at most its
+    quad's other two cycles, a-c-x-y and a-c-y-x.  :func:`_wedge_weight`
+    sums those as the scan would, up to commuting two additions, so the
+    comparison is exact, and a sibling that was not listed weighs more
+    than the cut.
+
+    Pass 2 stops after vertex a once at least 3K listed rows weigh at most
+    ``floor``, the least listed diagonal minimum of every later vertex
+    (K is :data:`K`).  The kept rows still hold the first K of the full
+    scan's in (weight, edge ids) order, all that :func:`seed_frontier`
+    keeps.  A later vertex's rows weigh at least ``floor``, and at equal
+    weight they rank after a's, because a is the first sort column after
+    weight.  A quad's three cycles share one smallest vertex, and at least
+    one listed row of each quad survives the filter, so 3K rows at or
+    below ``floor`` hold the frontier's first K.  The beam cut on the
+    shorter listing keeps the same first K rows: for B <= K the B-th row
+    lies among them, and for B > K both listings keep K.  With uniform
+    weights at n >= 32 the scan stops after the first vertex, whose block
+    alone is O(n^3) (ROADMAP item 1).
     Returns the kept cycles' walks (1-based) and weights, in scan order.
     """
     w = inst.weights
@@ -289,9 +302,9 @@ def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarr
             cut = low[k - 1]
 
     walks, weights = [], []
-    owner, listed = np.nonzero(mins <= cut)
-    vertices, first = np.unique(owner, return_index=True)
-    for a, offsets in zip(vertices.tolist(), np.split(listed, first[1:])):
+    listed = mins <= cut
+    for a in np.flatnonzero(listed.any(axis=1)).tolist():
+        offsets = np.flatnonzero(listed[a])
         xs = a + 1 + np.flatnonzero(bound[a, a + 1 :] <= cut)
         rows = _wedge_rows(w, a, xs)[offsets]
         pairs = rows[:, :, None] + rows[:, None, :]
@@ -299,13 +312,15 @@ def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarr
         corners = (np.full_like(x, a), xs[x], a + 1 + offsets[d], xs[y])
         walks.append(np.column_stack(corners))
         weights.append(pairs[d, x, y])
+        if sum(map(len, weights)) >= 3 * K:
+            floor = mins[a + 1 :][listed[a + 1 :]].min(initial=np.inf)
+            if sum(np.count_nonzero(v <= floor) for v in weights) >= 3 * K:
+                break
     walks = np.concatenate(walks)
     weights = np.concatenate(weights)
-    quads = np.ravel_multi_index(np.sort(walks, axis=1).T, (n,) * 4)
-    _, quad = np.unique(quads, return_inverse=True)
-    best = np.full(quad.max() + 1, np.inf)
-    np.minimum.at(best, quad, weights)
-    keep = weights == best[quad]
+    a, x, c, y = walks.T
+    sibling = np.minimum(_wedge_weight(w, a, c, x, y), _wedge_weight(w, a, c, y, x))
+    keep = weights <= sibling
     return (walks[keep] + 1).astype(np.int32), weights[keep]
 
 
@@ -314,13 +329,16 @@ def seed_frontier(inst: CompleteInstance, beam: BeamSpec = None) -> Frontier:
 
     The beam keeps the ``beam`` cheapest cycles in (weight, edge ids)
     order plus every cycle tied at the cutoff; of those, the first
-    :data:`K` stay.
+    :data:`K` stay.  The scan lists no further than those K need
+    (:func:`_seed_scan`), and the order is read off the walk columns.
     """
     if inst.n < 4:
         raise DomainError(f"seeding needs n >= 4, got n={inst.n}")
     width = parse_beam(beam)
     walks, weights = _seed_scan(inst, width)
-    order = np.lexsort([*_walk_keys(walks, inst.n).T[::-1], weights])
+    # Walk a-x-c-y (a smallest, x < y) has sorted edge ids (a, x), (a, y),
+    # then (min(x, c), max(x, c)), rising with c: they rank as (a, x, y, c).
+    order = np.lexsort([*walks.T[[2, 3, 1, 0]], weights])
     ranked = weights[order]
     cut = ranked[min(width, len(ranked)) - 1]
     order = order[: min(K, np.searchsorted(ranked, cut, side="right"))]

@@ -307,9 +307,11 @@ class TestSeedFrontier:
             "uniform-24", "ties-30", "lattice-5x5",
         ],
     )
-    def test_scan_matches_partition_pass(self, label, width):
+    def test_scan_matches_partition_pass(self, monkeypatch, label, width):
         # pass 1's slices and argmin cut where the gather and partition did;
-        # from "random-40" on, the running cut drops columns (but uniform-24)
+        # from "random-40" on, the running cut drops columns (but uniform-24).
+        # The reference lists every cycle, so the scan must not stop at K.
+        monkeypatch.setattr(heuristic, "K", 10**9)
         if label == "tenths":
             inst = decimal_instance(12, 12)
         elif label == "negative-zero-block":
@@ -786,6 +788,48 @@ class TestFrontierCap:
             frontier = checked_round(inst, frontier)
             sizes.append(len(frontier.weights))
         assert max(sizes) == cap
+
+    @pytest.mark.parametrize("cap", [8, 64])
+    @pytest.mark.parametrize("beam", ["all-ties", 100])
+    @pytest.mark.parametrize(
+        "inst, uniform",
+        [
+            (random_instance(9, 9, (4, 4)), True),
+            (random_instance(24, 24, (4, 4)), True),
+            (random_instance(30, 30, (1, 2)), False),
+            (lattice_instance(4, 4), False),
+        ],
+        ids=["uniform-n9", "uniform-n24", "1..2-n30", "lattice-4x4"],
+    )
+    def test_capped_seeds_are_cut_uncapped_seeds(
+        self, monkeypatch, inst, uniform, beam, cap
+    ):
+        # the scan stops once 3K listed rows weigh at most every later
+        # anchor's rows, and still keeps the uncapped frontier's first K
+        width = parse_beam(beam)
+        monkeypatch.setattr(heuristic, "K", 10**9)
+        uncapped = seed_frontier(inst, beam)
+        listed = len(heuristic._seed_scan(inst, width)[1])
+        monkeypatch.setattr(heuristic, "K", cap)
+        frontier = seed_frontier(inst, beam)
+        assert np.array_equal(frontier.walks, uncapped.walks[:cap])
+        assert np.array_equal(frontier.weights, uncapped.weights[:cap])
+        if uniform:
+            assert len(heuristic._seed_scan(inst, width)[1]) < listed
+
+    def test_uniform_seeding_stops_at_the_first_anchor(self):
+        # uniform weights at n = 60 have 1,462,185 4-cycles; the scan lists
+        # the 97,527 cycles through vertex 1 and stops.  Listing all peaked
+        # at 154 MiB.
+        inst = random_instance(60, 1, (1, 1))
+        tracemalloc.start()
+        try:
+            frontier = seed_frontier(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(frontier.weights) == heuristic.K
+        assert peak < 32 * 2**20
 
 
 class TestTableBudget:
