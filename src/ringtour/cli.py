@@ -51,7 +51,7 @@ def _render_json(obj, pad: str) -> str:
     indent ``pad``; every dict key must be a ``str``."""
     if type(obj) is str:
         return encode_basestring_ascii(obj)
-    if type(obj) is int:
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
         return repr(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
@@ -81,7 +81,8 @@ class RunReport:
     """Reproducible record of one CLI invocation.
 
     :meth:`to_json` writes the bytes of ``json.dumps(sort_keys=True,
-    indent=2)`` without that call's pure-Python encoder: a list of plain
+    indent=2)`` without that call's pure-Python encoder: a plain int or
+    finite float is its ``repr``, as json writes it; a list of plain
     ints is joined from their ``repr``s; any other list of plain ints,
     floats, bools and Nones is encoded compactly in C, and each comma
     becomes a comma, newline and indent.  Each comma is an item separator,

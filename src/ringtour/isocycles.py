@@ -17,10 +17,11 @@ reading cycle k builds that one cycle and keeps nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +44,20 @@ def triangle_index(n: int, a: int, b: int, c: int) -> int:
         - math.comb(n - a + 1, 3)
         + math.comb(n - a, 2)
         - math.comb(n - b + 1, 2)
+        + (c - b)
+    )
+
+
+def _triangle_ids(n: int, tris: np.ndarray) -> np.ndarray:
+    """:func:`triangle_index` of each row (a, b, c), a < b < c, of ``tris``."""
+    a, b, c = np.asarray(tris, dtype=np.int64).T
+    k, j = n - a + 1, n - b + 1
+    # triangle_index's terms, C(k, 3), C(k - 1, 2) and C(j, 2) written out
+    return (
+        math.comb(n, 3)
+        - k * (k - 1) * (k - 2) // 6
+        + (k - 1) * (k - 2) // 2
+        - j * (j - 1) // 2
         + (c - b)
     )
 
@@ -82,10 +97,14 @@ class IsometricCycleSet(CycleRows):
 
 def triangles(inst: CompleteInstance) -> IsometricCycleSet:
     """All C(n,3) triangles of a complete instance, lexicographic order."""
-    v = np.arange(inst.n)
-    # C order of the a < b < c mask is lexicographic (a, b, c) order.
-    a, b, c = np.nonzero((v[:, None, None] < v[:, None]) & (v[:, None] < v))
-    ids = edge_id_table(inst.n)
+    n = inst.n
+    # pairs a < b in lexicographic order, each followed by its c = b+1 .. n-1
+    a, b = np.triu_indices(n, 1)
+    reps = n - 1 - b
+    a, b = np.repeat(a, reps), np.repeat(b, reps)
+    starts = np.repeat(np.cumsum(reps) - reps, reps)
+    c = np.arange(len(a)) - starts + b + 1
+    ids = edge_id_table(n)
     return IsometricCycleSet(
         edges=np.stack([ids[a, b], ids[a, c], ids[b, c]], axis=1).ravel(),
         vertices=np.stack([a, b, c], axis=1).ravel() + 1,
@@ -160,22 +179,32 @@ class PassVectors:
             raise DomainError(f"vertex {v} out of range 1..{len(self.p_v)}")
         return self.p_v[v - 1]
 
-    def _edge_histogram(self) -> Iterator[tuple[int, int]]:
-        """(p, number of edges with pass count p) for each distinct p."""
-        counts = np.bincount(np.array(self.p_e, dtype=np.int64))
-        ps = np.flatnonzero(counts)
-        return zip(ps.tolist(), counts[ps].tolist())
+    @functools.cached_property
+    def _edge_histogram(self) -> list[tuple[int, int]]:
+        return _histogram(np.array(self.p_e, dtype=np.int64))
 
     @property
     def f1(self) -> int:
         """Quadratic MacLane functional over the live (p > 0) edges."""
         # Zero-pass edges are excluded from both sums and from the edge count.
-        return sum(c * (p * p - 3 * p + 2) for p, c in self._edge_histogram() if p > 0)
+        return sum(c * (p * p - 3 * p + 2) for p, c in self._edge_histogram if p > 0)
 
     @property
     def f2(self) -> int:
         """Cubic MacLane functional; zero for a planar-compatible cycle system."""
-        return sum(c * (p**3 - 3 * p * p + 2 * p) for p, c in self._edge_histogram())
+        return _f2(self._edge_histogram)
+
+
+def _histogram(p_e: np.ndarray) -> list[tuple[int, int]]:
+    """(p, number of edges with pass count p) for each distinct p in ``p_e``."""
+    counts = np.bincount(p_e)
+    ps = np.flatnonzero(counts)
+    return list(zip(ps.tolist(), counts[ps].tolist()))
+
+
+def _f2(histogram: list[tuple[int, int]]) -> int:
+    """The cubic MacLane functional of a pass-count histogram."""
+    return sum(c * (p**3 - 3 * p * p + 2 * p) for p, c in histogram)
 
 
 def pass_vectors(s: IsometricCycleSet | Iterable[Cycle], graph=None) -> PassVectors:
@@ -234,5 +263,5 @@ def deletion_trace(
         p_e[s.edges[lo:hi] - 1] -= 1
         p_v[s.vertices[lo:hi] - 1] -= 1
         pv = PassVectors(tuple(p_e.tolist()), tuple(p_v.tolist()))
-        out.append((pv, pv.f2))
+        out.append((pv, _f2(_histogram(p_e))))
     return out

@@ -1,4 +1,9 @@
-"""Tour results, canonical sequences, and the lineage replay deriving step weights."""
+"""Tour results, canonical sequences, and the lineage replay deriving step weights.
+
+The replay walks a lineage's growths once, inserting each apex and noting
+the walk edge it split; one numpy pass over those splits then derives every
+step's weight, triangle, triangle id and split edge id.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+import numpy as np
+
 from .edgesets import EdgeSet, _adjacency, _cycle_walk
 from .errors import DomainError
-from .graphs import CompleteInstance
-from .isocycles import triangle_index
+from .graphs import CompleteInstance, edge_id_table
+from .isocycles import _triangle_ids
 
 if TYPE_CHECKING:
     from .heuristic import Frontier
@@ -91,22 +98,38 @@ def tour_result(
     history: list[Frontier] | None = None,
     start: TraceStep | None = None,
 ) -> TourResult:
-    """The tour ``lineage`` grows, with its trace replayed growth by growth.
+    """The tour ``lineage`` grows, with its trace replayed from the growths.
 
     The trace's steps are ``start``, if given, then one step per growth: its
     triangle, split edge (u, v) and weight + ((w(u,apex) + w(v,apex)) - w(u,v)).
+    One walk over the growths inserts each apex and notes its (u, v, apex);
+    one numpy pass then derives every step.  The weights are ``np.cumsum``
+    over the root weight and the growths' gains, which adds left to right
+    as the extension rounds did, so each is its row's weight exactly.
     """
     walk = list(lineage.walk)
+    splits = []
+    for i, apex in lineage.growths:
+        splits.append((walk[i], walk[(i + 1) % len(walk)], apex))
+        walk.insert(i + 1, apex)
     steps = [] if start is None else [start]
     weight = lineage.weight
-    for i, apex in lineage.growths:
-        u, v = walk[i], walk[(i + 1) % len(walk)]
-        # the insertion table's summation order, so this is the row's weight exactly
-        weight += (inst.weight(u, apex) + inst.weight(v, apex)) - inst.weight(u, v)
-        tri = tuple(sorted((u, v, apex)))
-        split = inst.edge_id(u, v)
-        steps.append(TraceStep(tri, triangle_index(inst.n, *tri), split, weight))
-        walk.insert(i + 1, apex)
+    if splits:
+        uvx = np.array(splits)
+        u, v, x = uvx.T - 1
+        w = inst.weights
+        # the insertion table's summation order
+        gains = (w[u, x] + w[v, x]) - w[u, v]
+        weights = np.cumsum(np.concatenate([[weight], gains]))[1:].tolist()
+        tris = np.sort(uvx, axis=1)
+        steps += map(
+            TraceStep,
+            map(tuple, tris.tolist()),
+            _triangle_ids(inst.n, tris).tolist(),
+            edge_id_table(inst.n)[u, v].tolist(),
+            weights,
+        )
+        weight = weights[-1]
     trace = TourTrace(
         seed=_walk_edges(inst, lineage.walk),
         seed_vertices=lineage.walk,
@@ -121,5 +144,5 @@ def tour_result(
 
 def _walk_edges(inst: CompleteInstance, walk: Sequence[int]) -> EdgeSet:
     """The edge set of the closed walk ``walk``."""
-    ends = zip(walk, [*walk[1:], walk[0]])
-    return EdgeSet.of((inst.edge_id(u, v) for u, v in ends), inst.m)
+    ends = np.asarray(walk) - 1
+    return EdgeSet.of(edge_id_table(inst.n)[ends, np.roll(ends, -1)].tolist(), inst.m)

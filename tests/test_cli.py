@@ -872,6 +872,26 @@ class TestRunReport:
         assert text == indent_dumps(report)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hamiltonian", "--random", "n=5", "seed=1"),
+            ("hamiltonian", "--random", "n=40", "seed=2"),
+            ("hamiltonian", "--random", "n=100", "seed=3"),
+            ("maclane", "--random", "n=5", "seed=4", "--delete", "3,1,10"),
+            ("maclane", "--random", "n=40", "seed=5", "--delete",
+             "9880,1,4000,17,2500,38,741,6000,9000,123"),
+        ],
+        ids=["hamiltonian-5", "hamiltonian-40", "hamiltonian-100", "maclane-5",
+             "maclane-40"],
+    )
+    def test_workload_sized_reports(self, capsys, spied_reports, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        [(report, text)] = spied_reports
+        assert out == text + "\n"
+        assert text == indent_dumps(report)
+
+    @pytest.mark.parametrize(
         "results",
         [
             {"a": [], "b": {}, "c": [[], {}], "d": {"e": {"f": []}}, "g": ()},

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import random
 import sys
 from itertools import combinations, islice
@@ -27,7 +28,7 @@ from ringtour import (
     triangle_index,
     triangles,
 )
-from ringtour import cli, hamilton, tours
+from ringtour import cli, hamilton, isocycles, tours
 from ringtour.graphs import edge_id
 from conftest import (
     G1_EDGES,
@@ -195,13 +196,17 @@ class TestTriangles:
 
     def test_tour_builders_pass_sorted_triples(self, monkeypatch, k6):
         seen = []
-        real = triangle_index
+        real, real_ids = triangle_index, tours._triangle_ids
 
         def recording(n, a, b, c):
             seen.append((n, a, b, c))
             return real(n, a, b, c)
 
-        monkeypatch.setattr(tours, "triangle_index", recording)
+        def recording_ids(n, tris):
+            seen.extend((n, *tri) for tri in tris.tolist())
+            return real_ids(n, tris)
+
+        monkeypatch.setattr(tours, "_triangle_ids", recording_ids)
         monkeypatch.setattr(hamilton, "triangle_index", recording)
         for inst in (k6, random_instance(9, 4, (1, 3))):
             solve(inst, trace=True)
@@ -209,7 +214,7 @@ class TestTriangles:
                 build_hamiltonian(inst, k)
         assert seen and all(1 <= a < b < c <= n for n, a, b, c in seen)
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", [*range(3, 13), 40, 45])
     def test_arrays_match_combinations(self, n):
         tri = triangles(random_instance(n, seed=n, weight_range=(1, 9)))
         triples = list(combinations(range(1, n + 1), 3))
@@ -236,6 +241,26 @@ class TestTriangles:
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert built_cycles == []
+
+    @pytest.mark.parametrize("delete", [None, "1,6,8,100"])
+    def test_maclane_histograms_each_state_once(self, monkeypatch, capsys, delete):
+        calls = []
+        real = isocycles._histogram
+
+        def counting(p_e):
+            calls.append(p_e.tolist())
+            return real(p_e)
+
+        monkeypatch.setattr(isocycles, "_histogram", counting)
+        argv = ["maclane", "--random", "n=12", "seed=2", "--format", "json"]
+        if delete:
+            argv += ["--delete", delete]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        # the full set's state, whose f1 and f2 share one histogram, then
+        # one per removal
+        states = report["trace"] or [{"p_e": report["results"]["p_e"]}]
+        assert calls == [state["p_e"] for state in states]
 
 
 class TestIsometricCycles:
