@@ -52,15 +52,23 @@ vertex's block is still O(n^3) (ROADMAP item 1).
 An extension round is one table of insertion costs over the whole
 frontier, one row per (candidate, walk edge) and one column per free
 apex, as in cheapest insertion, filled by one gather per block of
-candidates.  The round builds its walk-edge cells u * n + v once, and
-reads both w(u, v) and the walks' edge ids from them.  The hits of each
-weight class taken are the table's flat indices, split by divmod into
-(candidate, walk edge, apex) in row-major scan order, and are keyed by
-the child's sorted edge ids straight from those indices; duplicates merge
-on the keys, and one gather builds the kept children's walks.  A round
+candidates.  Beside the walks and weights, a round receives from the
+round before it each row's closed walk and free vertices, one (F, n+1)
+array, the frontier's round state; a frontier built directly derives it
+from its walks when a round first reads it.  The round builds its
+walk-edge cells u * n + v once, and reads both w(u, v) and the walks'
+edge ids from them.  The hits of each weight class taken are the
+table's flat indices, unravelled into (candidate, walk edge, apex) in
+row-major scan order, and are keyed by the child's sorted edge ids
+straight from those indices; duplicates merge on the keys (a stable sort
+and an adjacent compare).  One mask then builds the kept children's
+round state, each parent row with its apex moved from the free vertices
+into the walk after its split; the children's walks are read off it, it
+is handed to the child frontier, and the parent's is released.  A round
 whose first class is one hit at beam 1 has nothing to merge and builds
-no keys.  Each lookup is one gather or scatter on a raveled array, and a
-round builds no Python object per child.
+no keys.  A round builds no Python object per child.  At n <= 200 a
+frontier holds a few rows, so a round's time is mostly its fixed count
+of numpy calls, which the handed-on state keeps down.
 """
 
 from __future__ import annotations
@@ -95,7 +103,7 @@ K = 4096
 # n = 512, but 4.9 GiB at n = 800, L = 400.  Past the budget a round is
 # refused before it allocates, since an allocation the kernel grants and
 # cannot back ends the process without a message.  Beside its table a round
-# holds intp walk-edge cells and free vertices, one gather block (0.5 MB),
+# holds its intp round state and walk-edge cells, one gather block (0.5 MB),
 # and per class a table-shaped bool mask, its hits and their keys.
 TABLE_BUDGET = 2**28
 
@@ -164,12 +172,14 @@ class Frontier:
     keeps its lineage: the ``root`` frontier it grew from and, per
     extension round, three arrays over that round's rows (parent row, walk
     position the apex went in after, apex), but no walks or weights.
+    Until the next round has read it, a grown frontier also holds the
+    round state its round handed on (``_round_state``).
 
     The arrays are the only way in, and a row's weight, walk and ids are
     read off them.  ``candidates`` is a
     :class:`~ringtour.edgesets.CycleRows` view of ``keys`` and ``walks``:
-    item r builds row r's simple :class:`~ringtour.edgesets.Cycle`, its
-    vertices in walk order.
+    its length reads only the walks' shape, and item r builds row r's
+    simple :class:`~ringtour.edgesets.Cycle`, its vertices in walk order.
     """
 
     def __init__(self, walks, weights, beam, n, *, root=None, rounds=()):
@@ -186,11 +196,26 @@ class Frontier:
         keys.sort(axis=1)
         return keys
 
+    @functools.cached_property
+    def _round_state(self) -> np.ndarray:
+        """What an extension round reads besides the weights: per row its
+        closed walk, first vertex repeated last, then its free vertices
+        ascending, one (F, n+1) array of 0-based intp vertices.
+
+        The round that grew this frontier hands it on, and the next round
+        releases it once it has built its children, so a traced solve's
+        history keeps it only on its last frontier; a frontier built
+        directly derives it here from its walks.
+        """
+        size, n = len(self.walks), self.n
+        free = np.ones((size, n), dtype=bool)
+        free[np.arange(size)[:, None], self.walks - 1] = False
+        rows = [self.walks, self.walks[:, :1], np.nonzero(free)[1].reshape(size, -1) + 1]
+        return np.concatenate(rows, axis=1, dtype=np.intp) - 1
+
     @property
     def candidates(self) -> CycleRows:
-        offsets = np.arange(0, self.keys.size + 1, self.length)
-        m = self.n * (self.n - 1) // 2
-        return CycleRows(self.keys.ravel(), self.walks.ravel(), offsets, m)
+        return _FrontierRows(self)
 
     @property
     def weight(self) -> float:
@@ -208,6 +233,24 @@ class Frontier:
             float(root.weights[row]),
             tuple(reversed(growths)),
         )
+
+
+class _FrontierRows(CycleRows):
+    """A frontier's rows as :class:`~ringtour.edgesets.CycleRows`.
+
+    ``len`` reads the walks' shape, and the keys are derived only when a
+    cycle is first built, so counting a frontier's rows derives nothing.
+    """
+
+    def __init__(self, frontier: Frontier):
+        n, self.frontier = frontier.n, frontier
+        self.vertices = frontier.walks.ravel()
+        self.offsets = np.arange(0, frontier.walks.size + 1, frontier.length)
+        self.m = n * (n - 1) // 2
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.frontier.keys.ravel()
 
 
 def _wedge_rows(w: np.ndarray, a: int, xs: np.ndarray) -> np.ndarray:
@@ -286,7 +329,7 @@ def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarr
     # The k cheapest minima read so far, the k-th of them the running cut.
     cut, low = np.inf, mins[0, :0]
     for a in range(n - 3):
-        xs = a + 1 + np.flatnonzero(bound[a, a + 1 :] <= cut)
+        xs = (bound[a, a + 1 :] <= cut).nonzero()[0] + (a + 1)
         if len(xs) < 2:
             continue
         rows = _wedge_rows(w, a, xs)
@@ -296,10 +339,12 @@ def _seed_scan(inst: CompleteInstance, width: int) -> tuple[np.ndarray, np.ndarr
         rows[r, cheapest] = np.inf
         dmin = m1 + rows.min(axis=1)
         mins[a, : len(dmin)] = dmin
-        low = np.concatenate([low, dmin])
-        if len(low) >= k:
-            low = np.partition(low, k - 1)[:k]
-            cut = low[k - 1]
+        # Minima at or above the cut leave the k-th cheapest where it is.
+        if dmin.min() < cut:
+            low = np.concatenate([low, dmin])
+            if len(low) >= k:
+                low = np.partition(low, k - 1)[:k]
+                cut = low[k - 1]
 
     walks, weights = [], []
     listed = mins <= cut
@@ -353,7 +398,7 @@ def _weight_classes(vals: np.ndarray) -> Iterator[tuple[np.float64, np.ndarray]]
     """
     flat = vals.ravel()
     while (cls := flat.min()) < np.inf:
-        hits = np.flatnonzero(flat == cls)
+        hits = (flat == cls).nonzero()[0]
         yield cls, hits
         flat[hits] = np.inf
 
@@ -373,14 +418,16 @@ def _insertion_table(
     Walk edge k of a candidate is (u, v), its walk vertices k and k+1
     (0-based, the walk closed), and its cell is u * n + v, the edge's flat
     index in the weight matrix and in ``edge_id_table``; free vertices are
-    ascending.  Table entry (f, k, j) is weights[f] + ((w(u,o) + w(v,o)) -
-    w(u,v)) for walk edge k = (u, v) and free vertex j = o, summed in that
-    order so ties are exact.  Each block of candidates, at most
-    ``_GATHER_CELLS`` endpoint cells (one candidate at least), is one
-    gather, whose intp index lives only through it; beside the table, the
-    cells are the one intp array the size of the walks.  A table of more
-    than :data:`TABLE_BUDGET` cells raises :class:`DomainError` before
-    anything is allocated.
+    ascending.  Both are views of the frontier's round state
+    (``Frontier._round_state``), handed on by the round that grew it.
+    Table entry (f, k, j) is weights[f] + ((w(u,o) + w(v,o)) - w(u,v)) for
+    walk edge k = (u, v) and free vertex j = o, summed in that order so
+    ties are exact.  Each block of candidates, at most ``_GATHER_CELLS``
+    endpoint cells (one candidate at least), is one gather, whose intp
+    index lives only through it; beside the table, the round state and the
+    cells are the intp arrays the size of the walks.  A table of more than
+    :data:`TABLE_BUDGET` cells raises :class:`DomainError` before anything
+    is allocated.
     """
     n, (size, length) = inst.n, frontier.walks.shape
     cells = size * length * (n - length)
@@ -393,14 +440,9 @@ def _insertion_table(
     # The table first: a round too large to hold it fails before it has
     # written anything else.
     vals = np.empty((size, length, n - length))
-    walks = np.concatenate([frontier.walks, frontier.walks[:, :1]], axis=1) - 1
-    offsets = np.arange(0, size * n, n)
-    free = np.ones(size * n, dtype=bool)
-    free[walks + offsets[:, None]] = False
-    outs = np.flatnonzero(free).reshape(size, n - length)
-    outs -= offsets[:, None]
-
-    cells = np.multiply(walks[:, :-1], n, dtype=np.intp)
+    state = frontier._round_state
+    walks, outs = state[:, : length + 1], state[:, length + 1 :]
+    cells = walks[:, :-1] * n
     cells += walks[:, 1:]
     flat = inst.weights.ravel()
     step = max(1, _GATHER_CELLS // ((length + 1) * (n - length)))
@@ -408,12 +450,27 @@ def _insertion_table(
         hi = lo + step
         # Cell u * n + o for each walk vertex u and free vertex o; no name
         # keeps the product u * n, so the gather meets only this index.
-        ends = np.multiply(walks[lo:hi, :, None], n, dtype=np.intp) + outs[lo:hi, None, :]
+        ends = walks[lo:hi, :, None] * n + outs[lo:hi, None, :]
         ends = flat[ends]
         np.add(ends[:, :-1], ends[:, 1:], out=vals[lo:hi])
         vals[lo:hi] -= flat[cells[lo:hi]][:, :, None]
     vals += frontier.weights[:, None, None]
     return cells, outs, vals
+
+
+def _first_of_each(row_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key in key order, with the index of its first hit.
+
+    The same as ``np.unique(row_keys, return_index=True)``: a stable sort
+    puts each key's first hit first among its equals, and an adjacent
+    compare marks where a new key starts.
+    """
+    order = row_keys.argsort(kind="stable")
+    ranked = row_keys[order]
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    return ranked[new], order[new]
 
 
 def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
@@ -423,18 +480,23 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
     with one uncovered apex; the new weight is
     candidate + (w(u,apex) + w(v,apex)) - w(u,v).  A round is one table of
     these insertion costs over the whole frontier, indexed by (candidate,
-    walk edge, apex), so its row-major order is the scan order.  Weight
+    walk edge, apex), so its row-major order is the scan order.  It reads
+    the frontier's weights and round state: each row's closed walk and
+    free vertices, as the round that grew the frontier handed them on, or
+    for a frontier built directly as derived from its walks.  Weight
     classes are taken cheapest first until at least B distinct cycles are
     in hand for beam B, so beam 1 ("all-ties") takes only the first.  The
     hits of a class are keyed by the child's sorted edge ids, computed
     from the table's indices and the walk-edge cells: new cycles arising
     from several decompositions (dubl-cycles) collapse to the first in
     scan order (class, then candidate), and a cycle an earlier class holds
-    is not kept again.  A first class of one hit at beam 1 ends the round
-    with nothing to merge, so it builds no keys.  The kept children
-    are in class order, then key order; one gather builds their walks,
-    each the parent's with its apex inserted, and the round's lineage
-    records (parent row, split position, apex).
+    is not kept again.  A first class of one hit at beam 1 ends the round with
+    nothing to merge, so it builds no keys.  The kept children are in
+    class order, then key order.  One mask builds their round state, each
+    parent row with its apex moved from the free vertices into the walk
+    after the split; the children's walks are read off it, it is handed
+    to the child frontier, and the parent's is released.  The round's
+    lineage records (parent row, split position, apex).
 
     No beam trim follows: before the last class taken fewer than B cycles
     were in hand, all cheaper than that class, so the B-th cheapest child
@@ -449,60 +511,64 @@ def extend_frontier(inst: CompleteInstance, frontier: Frontier) -> Frontier:
         raise DomainError("frontier already spans all vertices")
 
     cells, outs, vals = _insertion_table(inst, frontier)
-    ids = edge_id_table(n).ravel()
-    dtype = ids.dtype
-    # Big-endian bytes of a sorted id row compare as the ids do, so one
-    # void item per row sorts and merges the rows as their keys.
-    row_bytes = np.dtype((np.void, dtype.itemsize * (length + 1)))
-    parts, held, walk_ids = [], None, None
+    parts, held = [], None
     for cls, hits in _weight_classes(vals):
-        # Hit (f, i, o) is flat cell (f * L + i) * (n - L) + o of the table.
-        fi, o = np.divmod(hits, n - length)
-        f, i = np.divmod(fi, length)
-        apex = outs.ravel()[f * (n - length) + o]
+        f, i, o = np.unravel_index(hits, vals.shape)
+        apex = outs[f, o]
         if held is None and len(f) == 1 and frontier.beam == 1:
             # one cycle ends the round: nothing to merge, so no key
-            parts.append((f, i, apex + 1, np.full(1, cls)))
+            parts.append((f, i, apex, np.full(1, cls)))
             break
-        if walk_ids is None:
-            walk_ids = ids[cells]
+        if held is None:
+            ids = edge_id_table(n)
+            walk_ids = ids.ravel()[cells]
+            # Big-endian bytes of a sorted id row compare as the ids do, so
+            # one void item per row sorts and merges the rows as their keys.
+            key_order = ids.dtype.newbyteorder(">")
+            row_bytes = np.dtype((np.void, ids.dtype.itemsize * (length + 1)))
         # The child's edge ids: the parent's, with walk edge i = (u, v)
         # replaced by one apex edge and the other appended; sorted, each
         # row is its key.
-        u, v = np.divmod(cells.ravel()[fi], n)
-        head, tail = ids[u * n + apex], ids[v * n + apex]
-        keys = np.concatenate([walk_ids[f], tail[:, None]], axis=1)
-        keys.ravel()[np.arange(0, keys.size, length + 1) + i] = head
+        u, v = np.divmod(cells[f, i], n)
+        keys = np.concatenate([walk_ids[f], ids[v, apex][:, None]], axis=1)
+        keys[np.arange(len(f)), i] = ids[u, apex]
         keys.sort(axis=1)
-        # Each distinct key's first hit, in key order.
-        row_keys = keys.astype(dtype.newbyteorder(">")).view(row_bytes).ravel()
-        distinct, first = np.unique(row_keys, return_index=True)
+        row_keys = keys.astype(key_order).view(row_bytes).ravel()
+        distinct, first = _first_of_each(row_keys)
         # A cycle an earlier, cheaper class holds stays there.  The first
         # class has nothing cheaper to merge against, and an np.isin against
         # an empty set made a random n = 200 solve about 7% slower.
         if held is not None:
             fresh = ~np.isin(distinct, held)
             distinct, first = distinct[fresh], first[fresh]
-        # The cap, before the gather: the children come in (weight, edge
-        # ids) order, so the first K are the K kept.
+        # The cap, before the children are built: they come in (weight,
+        # edge ids) order, so the first K are the K kept.
         room = K - (0 if held is None else len(held))
         distinct, first = distinct[:room], first[:room]
         held = distinct if held is None else np.concatenate([held, distinct])
-        weights = np.full(len(first), cls)
-        parts.append((f[first], i[first], apex[first] + 1, weights))
+        parts.append((f[first], i[first], apex[first], np.full(len(first), cls)))
         if len(held) >= min(frontier.beam, K):
             break
 
     # One class, the usual case off ties, needs no concatenation.
     cols = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     rows, splits, apexes, weights = cols
-    pos = np.arange(length + 1)
-    source = rows[:, None] * length + (pos - (pos > splits[:, None]))
-    children = frontier.walks.ravel()[source]
-    children.ravel()[np.arange(0, children.size, length + 1) + splits + 1] = apexes
-    rounds = frontier._rounds + ((rows, splits, apexes),)
+    state = frontier._round_state
+    del frontier._round_state
+    # A child's row is its parent's with the apex moved out of the free
+    # vertices and into the walk, at column split + 1.
+    at = np.arange(-1, n) == splits[:, None]
+    grown = np.empty(at.shape, dtype=state.dtype)
+    grown[at] = apexes
+    parent = state.take(rows, axis=0)
+    grown[~at] = parent[parent != apexes[:, None]]
+    rounds = frontier._rounds + ((rows, splits, apexes + 1),)
     root = frontier._root or frontier
-    return Frontier(children, weights, frontier.beam, n, root=root, rounds=rounds)
+    walks = grown[:, : length + 1].astype(np.int32)
+    walks += 1
+    child = Frontier(walks, weights, frontier.beam, n, root=root, rounds=rounds)
+    child._round_state = grown
+    return child
 
 
 def solve(

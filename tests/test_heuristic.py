@@ -727,6 +727,130 @@ class TestHitOrder:
             frontier = checked_round(inst, frontier)
 
 
+
+def derived_state(frontier):
+    """Each row's closed walk, then its free vertices ascending, 0-based,
+    read off its walk alone."""
+    vertices = range(1, frontier.n + 1)
+    rows = [
+        [v - 1 for v in walk + walk[:1] + sorted(set(vertices) - set(walk))]
+        for walk in frontier.walks.tolist()
+    ]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), frontier.n + 1)
+
+
+def state_cases():
+    cases = [(f"random-n{n}", random_instance(n, n, (1, 100))) for n in (4, 5, 6, 9, 17, 31, 60)]
+    cases += [(f"1..3-n{n}", random_instance(n, n, (1, 3))) for n in (6, 12, 20)]
+    cases.append(("negzero-9", CompleteInstance(np.full((9, 9), -0.0))))
+    cases.append(("lattice-3x4", lattice_instance(3, 4)))
+    return [
+        pytest.param(inst, beam, id=f"{label}-{beam}")
+        for label, inst in cases
+        for beam in ("all-ties", 2, 7)
+    ]
+
+
+class TestRoundState:
+    @pytest.mark.parametrize("inst, beam", state_cases())
+    def test_handed_on_state_is_what_the_walks_derive(self, inst, beam):
+        # each round hands its child the closed walks and free vertices the
+        # child's walks derive, and releases its own once read
+        frontier = seed_frontier(inst, beam)
+        assert "_round_state" not in vars(frontier)
+        while frontier.length < inst.n:
+            parent, frontier = frontier, extend_frontier(inst, frontier)
+            assert "_round_state" not in vars(parent)
+            state = vars(frontier)["_round_state"]
+            want = derived_state(frontier)
+            assert state.dtype == want.dtype and np.array_equal(state, want)
+
+    @pytest.mark.parametrize(
+        "inst, beam",
+        [(random_instance(40, 4, (1, 100)), 3), (lattice_instance(3, 4), 1)],
+        ids=["random-40", "lattice-3x4"],
+    )
+    def test_built_frontier_derives_the_state(self, inst, beam):
+        # a frontier built from walks and weights alone derives its state,
+        # and grows as the frontier it copies
+        grown = seed_frontier(inst, beam)
+        for _ in range(3):
+            grown = extend_frontier(inst, grown)
+        built = Frontier(grown.walks.copy(), grown.weights.copy(), beam, inst.n)
+        state = built._round_state
+        want = derived_state(built)
+        assert state.dtype == want.dtype and np.array_equal(state, want)
+        while built.length < inst.n:
+            built, grown = extend_frontier(inst, built), extend_frontier(inst, grown)
+            assert np.array_equal(built.walks, grown.walks)
+            assert np.array_equal(built.weights, grown.weights)
+
+    def test_traced_history_keeps_no_state(self):
+        history = solve(random_instance(30, 6, (1, 3)), 7, trace=True).trace.frontier_history
+        assert ["_round_state" in vars(f) for f in history] == [False] * (len(history) - 1) + [True]
+
+    def test_counting_candidates_derives_no_keys(self, built_cycles):
+        # len reads the walks' shape; item 0 still builds row 0's cycle
+        inst = random_instance(12, 5, (1, 3))
+        frontier = solve(inst, 3, trace=True).trace.frontier_history[3]
+        assert len(frontier.candidates) == len(frontier.weights) > 1
+        assert "keys" not in vars(frontier)
+        built_cycles.clear()
+        first = frontier.candidates[0]
+        assert first.edges.ids() == walk_edge_ids(inst, frontier.walks[0].tolist())
+        assert first.vertices == frozenset(frontier.walks[0].tolist())
+        assert len(built_cycles) == 1
+
+
+def assert_is_unique(got, row_keys):
+    """``got`` is ``np.unique(row_keys, return_index=True)``, dtypes too."""
+    want = np.unique(row_keys, return_index=True)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestFirstOfEach:
+    @pytest.mark.parametrize("size", [1, 2, 4500])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_is_unique_with_first_index(self, size, dtype):
+        # few distinct ids per column, so most keys repeat
+        rng = np.random.default_rng(size)
+        keys = np.sort(rng.integers(1, 5, (size, 6)), axis=1).astype(dtype)
+        big = keys.dtype.newbyteorder(">")
+        row_keys = keys.astype(big).view(np.dtype((np.void, 6 * keys.itemsize))).ravel()
+        assert size < 3 or len(np.unique(row_keys)) < size
+        assert_is_unique(heuristic._first_of_each(row_keys), row_keys)
+
+    def test_is_unique_in_every_round(self, monkeypatch):
+        # classes of 1, 2 and thousands of hits, with keys repeated inside a
+        # class and across the classes of one round
+        sizes, inside, across, seen = set(), [], [], []
+        first_of_each = heuristic._first_of_each
+
+        def checked(row_keys):
+            got = first_of_each(row_keys)
+            assert_is_unique(got, row_keys)
+            rows = {row.tobytes() for row in row_keys}
+            sizes.add(len(row_keys))
+            inside.append(len(rows) < len(row_keys))
+            across.append(any(rows & earlier for earlier in seen))
+            seen.append(rows)
+            return got
+
+        monkeypatch.setattr(heuristic, "_first_of_each", checked)
+        cases = [
+            (random_instance(60, 60, (1, 100)), 2),
+            (decimal_instance(30, 30), 5),
+            (lattice_instance(4, 4), 1),
+        ]
+        for inst, beam in cases:
+            frontier = seed_frontier(inst, beam)
+            while frontier.length < inst.n:
+                seen.clear()
+                frontier = checked_round(inst, frontier)
+        assert {1, 2} <= sizes and max(sizes) >= 4000
+        assert any(inside) and any(across)
+
 def tie_family():
     """Inputs whose all-ties rounds outgrow K, with the optimum where known.
 
